@@ -4,7 +4,9 @@ Pairing values live in Q(L)/L where L is the integer Laurent ring.  They
 are kept as unreduced fractions (num, den) with den = det(V - tV^T); no
 canonical residue exists when the leading coefficient of the Alexander
 polynomial is not a unit, so equality is decided by cross-multiplied
-divisibility instead.
+divisibility instead.  The adjugate of V - tV^T comes from the integer
+pencil core in seifert (integer cofactors at the nodes, then Newton
+interpolation of each entry).
 """
 
 from __future__ import annotations
@@ -12,13 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly, is_multiple
-from .seifert import SeifertMatrix, alexander, det_laurent, presentation_entries
+from .seifert import (
+    SeifertMatrix,
+    adjugate_laurent,
+    alexander,
+    det_laurent,
+    presentation_entries,
+)
 
 T_MINUS_1 = LaurentPoly({1: 1, 0: -1})
-
-# cofactor expansion is exact and fast up to this size; beyond it each
-# cofactor determinant is computed by evaluation and interpolation
-_COFACTOR_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -74,33 +78,6 @@ def _pairing_matrix_entries(V: SeifertMatrix):
     return [
         [LaurentPoly({0: V[i][j], 1: -V[j][i]}) for j in range(n)] for i in range(n)
     ]
-
-
-def _minor(rows, i, j):
-    return [
-        [entry for l, entry in enumerate(row) if l != j]
-        for k, row in enumerate(rows)
-        if k != i
-    ]
-
-
-def adjugate_laurent(rows, method: str | None = None):
-    """Adjugate of a square Laurent polynomial matrix.
-
-    Convention: adj(M) M = det(M) I, so the adjugate is the transpose of
-    the cofactor matrix.
-    """
-    n = len(rows)
-    if n == 0:
-        return []
-    if method is None:
-        method = "cofactor" if n <= _COFACTOR_LIMIT else "interpolate"
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cof = det_laurent(_minor(rows, i, j), method=method)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return adj
 
 
 def _as_coords(v, n):
@@ -175,7 +152,7 @@ def border_self_pairing_check(outer: SeifertMatrix, inner: SeifertMatrix) -> boo
     """
     eps = _check_literal_border(outer, inner)
     rows = _pairing_matrix_entries(outer)
-    cof = det_laurent(_minor(rows, 0, 0))
+    cof = det_laurent([row[1:] for row in rows[1:]])
     den = det_laurent(rows)
     entry = TorsionFraction(T_MINUS_1 * cof, den)
     target = TorsionFraction(LaurentPoly.const(eps) * alexander(inner), alexander(outer))

@@ -218,13 +218,10 @@ class LaurentPoly:
         """
         if x == 0:
             raise ValueError("cannot evaluate at t = 0")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            if e >= 0:
-                total += Fraction(c) * x**e
-            else:
-                total += Fraction(c) / x ** (-e)
-        return _norm_coeff(total)
+        # x^low * value is a polynomial in x: sum it, divide once at the end
+        low = min(0, min(self.terms, default=0))
+        num = sum(c * x ** (e - low) for e, c in self.terms.items())
+        return _norm_coeff(Fraction(num, x**-low) if low else num)
 
     # -- comparisons and hashing -------------------------------------------
 

@@ -289,19 +289,20 @@ class _Side:
     ua: int | None
     sigma: int | None
     det: int
+    ua_one_certificate: str | None
 
-    @property
-    def ua_one_certificate(self) -> str | None:
-        if self.ua == 1:
-            return "user supplied u_a = 1"
-        if self.matrix is not None:
-            verdict = ua_is_one(self.matrix)
-            if verdict:
-                return verdict.certificate
-        h = _h_form_value(self.delta)
-        if h in SMALL_H:
-            return f"every class with this Alexander polynomial has u_a = 1 (h = {h})"
-        return None
+
+def _ua_one_certificate(delta: LaurentPoly, matrix: SeifertMatrix | None, ua: int | None):
+    if ua == 1:
+        return "user supplied u_a = 1"
+    if matrix is not None:
+        verdict = ua_is_one(matrix, delta)
+        if verdict:
+            return verdict.certificate
+    h = _h_form_value(delta)
+    if h in SMALL_H:
+        return f"every class with this Alexander polynomial has u_a = 1 (h = {h})"
+    return None
 
 
 def _h_form_value(delta: LaurentPoly):
@@ -326,15 +327,17 @@ def _is_prime_or_one(n: int) -> bool:
 
 def _make_side(value, ua, default_label) -> _Side:
     if isinstance(value, SeifertMatrix):
-        delta = alexander(value)
-        return _Side(default_label, delta, value, ua, signature(value), knot_determinant(value))
-    if isinstance(value, LaurentPoly):
+        matrix, delta = value, alexander(value)
+        sigma, det = signature(value), knot_determinant(value)
+    elif isinstance(value, LaurentPoly):
         if value.is_zero:
             raise ValueError("polynomial input must be nonzero")
+        matrix, delta, sigma = None, value, None
         det = value.evaluate(-1)
         det = abs(det) if isinstance(det, int) else 0
-        return _Side(default_label, value, None, ua, None, det)
-    raise TypeError("input must be a SeifertMatrix or a LaurentPoly")
+    else:
+        raise TypeError("input must be a SeifertMatrix or a LaurentPoly")
+    return _Side(default_label, delta, matrix, ua, sigma, det, _ua_one_certificate(delta, matrix, ua))
 
 
 def _quadform_row(side_mod: _Side, side_other: _Side, bounds: SearchBounds):

@@ -2,19 +2,18 @@
 
 A Seifert matrix is an even-size integer matrix V with det(V - V^T) = 1.
 The 0x0 matrix is allowed and stands for the trivial class.  All arithmetic
-is exact: determinants of integer matrices use fraction-free elimination,
-polynomial determinants use integer evaluation plus rational interpolation
-(with cofactor expansion and fraction-free elimination available as
-independent cross-checks), and the signature is computed by congruence
-diagonalisation over the rationals.
+is exact and stays in the integers: determinants of integer matrices use
+Bareiss fraction-free elimination; polynomial determinants and adjugates
+are taken at integer nodes and recovered by Newton interpolation, whose
+divided differences are exact integer divisions; and the signature comes
+from fraction-free symmetric elimination of V + V^T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .laurent import LaurentPoly, divmod_rational
+from .laurent import LaurentPoly
 
 
 class InvalidMatrixError(ValueError):
@@ -42,11 +41,15 @@ def det_int(rows) -> int:
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+        pivot = a[k]
+        p = pivot[k]
+        rest = range(k + 1, n)
+        for i in rest:
+            row = a[i]
+            f = row[k]
+            for j in rest:
+                row[j] = (row[j] * p - f * pivot[j]) // prev
+        prev = p
     return sign * a[n - 1][n - 1]
 
 
@@ -124,139 +127,120 @@ def parse_matrix_text(text: str) -> SeifertMatrix:
     return SeifertMatrix(rows)
 
 
-# -- polynomial determinants -------------------------------------------------
+# -- the integer pencil core -------------------------------------------------
+#
+# Every polynomial matrix here is a pencil with integer coefficients, so its
+# determinant and adjugate are found from integer matrices: substitute the
+# nodes 0, 1, -1, 2, -2, ..., take Bareiss determinants, and interpolate.
 
 
-def _interpolate(points, values):
-    """Coefficients (Fractions) of the polynomial through the given points."""
-    k = len(points)
-    coeffs = [Fraction(0)] * k
-    for i in range(k):
-        basis = [Fraction(1)]
-        denom = 1
-        for j in range(k):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis
-            for d in range(len(basis) - 1):
-                basis[d] -= points[j] * basis[d + 1]
-            denom *= points[i] - points[j]
-        scale = Fraction(values[i], denom)
-        for d in range(len(basis)):
-            coeffs[d] += scale * basis[d]
+def _nodes(count):
+    """The first count interpolation nodes 0, 1, -1, 2, -2, ..."""
+    return [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(count)]
+
+
+def _newton(points, values):
+    """Integer coefficients, lowest degree first, of the polynomial of
+    degree below len(points) through (points[i], values[i]).
+
+    For a polynomial with integer coefficients every divided difference at
+    integer nodes is an integer, so each division is exact.
+    """
+    c = list(values)
+    m = len(c)
+    for j in range(1, m):
+        for i in range(m - 1, j - 1, -1):
+            q, r = divmod(c[i] - c[i - 1], points[i] - points[i - j])
+            assert r == 0, "divided difference of an integer polynomial must be an integer"
+            c[i] = q
+    # Horner on the Newton form: coeffs <- coeffs * (t - points[i]) + c[i]
+    coeffs = [c[-1]]
+    for i in range(m - 2, -1, -1):
+        x = points[i]
+        coeffs = (
+            [c[i] - x * coeffs[0]]
+            + [coeffs[d - 1] - x * coeffs[d] for d in range(1, len(coeffs))]
+            + [coeffs[-1]]
+        )
     return coeffs
 
 
-def _eval_points(count):
-    pts = [0]
-    k = 1
-    while len(pts) < count:
-        pts.append(k)
-        if len(pts) < count:
-            pts.append(-k)
-        k += 1
-    return pts[:count]
+def _as_laurent(coeffs, shift) -> LaurentPoly:
+    return LaurentPoly({d + shift: c for d, c in enumerate(coeffs)})
 
 
-def _row_shifts(rows):
+def _shifted_rows(rows):
     """Pull t^v out of each row so every entry is an ordinary polynomial.
 
-    Returns (shift_sum, shifted_rows) or None when some row is zero.
+    Returns the shifts v (0 for a zero row), the entries as dense
+    coefficient lists (lowest degree first), and each row's degree bound.
     """
-    total = 0
-    shifted = []
+    shifts, dense, degrees = [], [], []
     for row in rows:
-        vals = [p.valuation for p in row if not p.is_zero]
-        if not vals:
-            return None
-        v = min(min(vals), 0)
-        total += v
-        shifted.append([p.shift(-v) for p in row])
-    return total, shifted
+        v = min((e for p in row for e in p.terms), default=0)
+        entries = [[p.coeff(e) for e in range(v, p.degree + 1)] if p.terms else [] for p in row]
+        shifts.append(v)
+        dense.append(entries)
+        degrees.append(max([0] + [len(c) - 1 for c in entries]))
+    return shifts, dense, degrees
 
 
-def _det_by_interpolation(rows) -> LaurentPoly:
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.one()
-    prepared = _row_shifts(rows)
-    if prepared is None:
-        return LaurentPoly.zero()
-    shift, polys = prepared
-    bound = sum(max(p.degree for p in row if not p.is_zero) for row in polys)
-    points = _eval_points(bound + 1)
-    values = [
-        det_int([[p.evaluate(x) if x != 0 else p.coeff(0) for p in row] for row in polys])
-        for x in points
-    ]
-    coeffs = _interpolate(points, values)
-    assert all(c.denominator == 1 for c in coeffs)
-    return LaurentPoly({d: int(c) for d, c in enumerate(coeffs)}).shift(shift)
+def _substitute(dense, x):
+    """The integer matrix of dense polynomial entries at t = x (Horner)."""
+    out = []
+    for row in dense:
+        values = []
+        for coeffs in row:
+            value = 0
+            for c in reversed(coeffs):
+                value = value * x + c
+            values.append(value)
+        out.append(values)
+    return out
 
 
-def _det_by_cofactors(rows) -> LaurentPoly:
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.one()
-    if n == 1:
-        return rows[0][0]
-    total = LaurentPoly.zero()
-    for i in range(n):
-        c = rows[i][0]
-        if c.is_zero:
-            continue
-        minor = [row[1:] for k, row in enumerate(rows) if k != i]
-        term = c * _det_by_cofactors(minor)
-        total = total + term if i % 2 == 0 else total - term
-    return total
-
-
-def _exact_poly_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    quo, rem = divmod_rational(p, q)
-    assert rem.is_zero and quo.is_integral
-    return quo
-
-
-def _det_by_fraction_free(rows) -> LaurentPoly:
-    """Bareiss elimination over the polynomial ring; every division is exact."""
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.one()
-    prepared = _row_shifts(rows)
-    if prepared is None:
-        return LaurentPoly.zero()
-    shift, a = prepared
-    a = [list(row) for row in a]
-    sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n - 1):
-        if a[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = _exact_poly_div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
-            a[i][k] = LaurentPoly.zero()
-        prev = a[k][k]
-    result = a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
-    return result.shift(shift)
-
-
-_DET_METHODS = {
-    "interpolate": _det_by_interpolation,
-    "cofactor": _det_by_cofactors,
-    "fraction-free": _det_by_fraction_free,
-}
-
-
-def det_laurent(rows, method: str = "interpolate") -> LaurentPoly:
+def det_laurent(rows) -> LaurentPoly:
     """Exact determinant of a square matrix of Laurent polynomials."""
-    return _DET_METHODS[method]([list(row) for row in rows])
+    shifts, dense, degrees = _shifted_rows(rows)
+    points = _nodes(sum(degrees) + 1)
+    values = [det_int(_substitute(dense, x)) for x in points]
+    return _as_laurent(_newton(points, values), sum(shifts))
+
+
+def _adjugate_int(a):
+    """Integer adjugate by cofactors: adj[i][j] = (-1)^(i+j) det(a without row j, column i)."""
+    n = len(a)
+    return [
+        [
+            (-1) ** (i + j)
+            * det_int([row[:i] + row[i + 1 :] for k, row in enumerate(a) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def adjugate_laurent(rows):
+    """Adjugate of a square Laurent polynomial matrix.
+
+    Convention: adj(M) M = det(M) I, so the adjugate is the transpose of
+    the cofactor matrix.  Entry (i, j) omits row j, whose shift is taken
+    out of the total.
+    """
+    if not rows:
+        return []
+    shifts, dense, degrees = _shifted_rows(rows)
+    points = _nodes(sum(degrees) - min(degrees) + 1)
+    samples = [_adjugate_int(_substitute(dense, x)) for x in points]
+    total = sum(shifts)
+    n = len(rows)
+    return [
+        [
+            _as_laurent(_newton(points, [s[i][j] for s in samples]), total - shifts[j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 # -- classical invariants ------------------------------------------------------
@@ -270,26 +254,41 @@ def presentation_entries(V: SeifertMatrix):
     ]
 
 
-def alexander(V: SeifertMatrix, method: str = "interpolate") -> LaurentPoly:
+def _symmetrised(V: SeifertMatrix):
+    n = V.size
+    return [[V[i][j] + V[j][i] for j in range(n)] for i in range(n)]
+
+
+def alexander(V: SeifertMatrix) -> LaurentPoly:
     """Alexander polynomial t^-n det(tV - V^T) of a 2n x 2n Seifert matrix.
 
     The result is symmetric under t -> t^-1 and takes the value 1 at t = 1;
     both are asserted, a failure means a bug rather than bad input.
     """
-    n2 = V.size
-    if n2 == 0:
-        return LaurentPoly.one()
-    delta = det_laurent(presentation_entries(V), method=method).shift(-(n2 // 2))
+    n = V.size
+    rows = V.rows
+    points = _nodes(n + 1)
+    values = [
+        det_int([[x * rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)])
+        for x in points
+    ]
+    coeffs = _newton(points, values)
+    delta = _as_laurent(coeffs, -(n // 2))
     assert delta.is_bar_symmetric(), "Alexander polynomial must be bar symmetric"
-    assert delta.evaluate(1) == 1, "Alexander polynomial must be 1 at t = 1"
+    assert sum(coeffs) == 1, "Alexander polynomial must be 1 at t = 1"
     return delta
 
 
 def signature(V: SeifertMatrix) -> int:
-    """Signature of V + V^T by exact congruence diagonalisation over Q."""
+    """Signature of V + V^T by fraction-free symmetric elimination.
+
+    Step k keeps the trailing block as prev times the Schur complement, so
+    the rational pivot is p / prev and its sign is that of p * prev.
+    """
     n = V.size
-    a = [[Fraction(V[i][j] + V[j][i]) for j in range(n)] for i in range(n)]
+    a = _symmetrised(V)
     pos = neg = 0
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
             swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
@@ -301,30 +300,28 @@ def signature(V: SeifertMatrix) -> int:
                 j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
                 if j is None:
                     continue
-                for l in range(n):
+                for l in range(k, n):
                     a[k][l] += a[j][l]
-                for l in range(n):
+                for l in range(k, n):
                     a[l][k] += a[l][j]
         p = a[k][k]
-        if p == 0:
-            continue
-        if p > 0:
+        if p * prev > 0:
             pos += 1
         else:
             neg += 1
         for i in range(k + 1, n):
-            f = a[i][k] / p
-            if f:
-                for j in range(n):
-                    a[i][j] -= f * a[k][j]
-                for j in range(n):
-                    a[j][i] -= f * a[j][k]
+            for j in range(i, n):
+                q, r = divmod(p * a[i][j] - a[i][k] * a[k][j], prev)
+                assert r == 0, "fraction-free elimination must divide exactly"
+                a[i][j] = a[j][i] = q
+        prev = p
     return pos - neg
 
 
 def knot_determinant(V: SeifertMatrix) -> int:
-    """The determinant invariant |Delta(-1)|; always odd for valid input."""
-    d = abs(alexander(V).evaluate(-1))
+    """The determinant invariant |Delta(-1)| = |det(V + V^T)|; always odd
+    for valid input."""
+    d = abs(det_int(_symmetrised(V)))
     assert d % 2 == 1, "knot determinant must be odd"
     return d
 
@@ -447,7 +444,7 @@ def definite_normal_form(V: SeifertMatrix):
     """
     if V.size != 2:
         raise ValueError("normal form is defined for 2x2 matrices only")
-    sym = [[V[i][j] + V[j][i] for j in range(2)] for i in range(2)]
+    sym = _symmetrised(V)
     if det_int(sym) <= 0:
         raise NotDefiniteError("V + V^T is not definite")
     s = 1 if sym[0][0] > 0 else -1
@@ -507,9 +504,13 @@ class UaVerdict:
         return self.known_one
 
 
-def ua_is_one(V: SeifertMatrix) -> UaVerdict:
-    """Sufficient conditions for algebraic unknotting number one."""
-    delta = alexander(V)
+def ua_is_one(V: SeifertMatrix, delta: LaurentPoly | None = None) -> UaVerdict:
+    """Sufficient conditions for algebraic unknotting number one.
+
+    delta, when given, must be alexander(V); it saves recomputing it.
+    """
+    if delta is None:
+        delta = alexander(V)
     for h in SMALL_H:
         if delta == h_form(h):
             return UaVerdict(True, f"Alexander polynomial h(t+t^-1)+1-2h with h = {h}")

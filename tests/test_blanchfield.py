@@ -14,6 +14,7 @@ from gordian.blanchfield import (
     presentation,
 )
 from gordian.verify import random_seifert, random_vector, small_laurent
+from oracles import adjugate_by_cofactors
 
 P = LaurentPoly.parse
 
@@ -73,16 +74,32 @@ class TestFractionsEqual:
 
 class TestAdjugate:
     def test_adjugate_times_matrix_is_det(self):
+        # random matrices of sizes 1 to 3, then sizes 1 to 10 with negative
+        # exponents, and the pairing matrices V - tV^T of even size
         rng = random.Random(13)
+        cases = []
         for _ in range(25):
             n = rng.choice((1, 2, 3))
-            rows = [
+            cases.append(
                 [
-                    LaurentPoly({e: rng.randint(-2, 2) for e in range(0, 2)})
+                    [LaurentPoly({e: rng.randint(-2, 2) for e in range(0, 2)}) for _ in range(n)]
                     for _ in range(n)
                 ]
-                for _ in range(n)
-            ]
+            )
+        for n in range(1, 11):
+            cases.append(
+                [
+                    [LaurentPoly({e: rng.randint(-2, 2) for e in (-1, 0, 1)}) for _ in range(n)]
+                    for _ in range(n)
+                ]
+            )
+            if n % 2 == 0:
+                V = random_seifert(rng, n)
+                cases.append(
+                    [[LaurentPoly({0: V[a][b], 1: -V[b][a]}) for b in range(n)] for a in range(n)]
+                )
+        for rows in cases:
+            n = len(rows)
             adj = adjugate_laurent(rows)
             det = det_laurent(rows)
             for i in range(n):
@@ -93,24 +110,25 @@ class TestAdjugate:
                     assert entry == (det if i == j else LaurentPoly.zero())
 
     def test_methods_agree(self):
+        # the interpolated adjugate against the cofactor oracle, with
+        # negative exponents
         rng = random.Random(19)
-        for _ in range(10):
-            for n in (2, 3, 4):
+        for _ in range(12):
+            for n in (1, 2, 3, 4):
                 rows = [
                     [
-                        LaurentPoly({e: rng.randint(-2, 2) for e in range(0, 2)})
+                        LaurentPoly({e: rng.randint(-2, 2) for e in range(-1, 2)})
                         for _ in range(n)
                     ]
                     for _ in range(n)
                 ]
-                assert adjugate_laurent(rows, method="cofactor") == adjugate_laurent(
-                    rows, method="interpolate"
-                )
+                assert adjugate_laurent(rows) == adjugate_by_cofactors(rows)
 
     def test_methods_agree_at_crossover_size(self):
-        # the default switches from cofactors to interpolation above 6
+        # sizes 5 and 6, the largest the cofactor oracle handles quickly,
+        # one matrix with a zero row
         rng = random.Random(20)
-        for n in (5, 6):
+        for n in (5, 6, 6):
             rows = [
                 [
                     LaurentPoly({e: rng.randint(-1, 1) for e in range(0, 2)})
@@ -118,9 +136,12 @@ class TestAdjugate:
                 ]
                 for _ in range(n)
             ]
-            assert adjugate_laurent(rows, method="cofactor") == adjugate_laurent(
-                rows, method="interpolate"
-            )
+            assert adjugate_laurent(rows) == adjugate_by_cofactors(rows)
+        rows[2] = [LaurentPoly.zero()] * 6
+        assert adjugate_laurent(rows) == adjugate_by_cofactors(rows)
+
+    def test_empty(self):
+        assert adjugate_laurent([]) == []
 
 
 class TestPairing:

@@ -95,6 +95,7 @@ class TestEvaluate:
         assert P("t+t^-1-1").evaluate(-1) == -3
         assert P("t+t^-1-1").evaluate(1) == 1
         assert P("-3t^2+12t-17+12t^-1-3t^-2").evaluate(-1) == -47
+        assert L.zero().evaluate(-2) == 0
 
     def test_rational_result(self):
         assert P("t^-1").evaluate(2) == Fraction(1, 2)
@@ -102,6 +103,19 @@ class TestEvaluate:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             P("t").evaluate(0)
+
+    def test_against_fraction_reference(self):
+        rng = random.Random(7)
+        for i in range(400):
+            terms = {e: rng.randint(-9, 9) for e in range(rng.randint(-4, 0), rng.randint(0, 4) + 1)}
+            if i % 2:
+                terms = {e: Fraction(c, rng.randint(1, 6)) for e, c in terms.items()}
+            p = L(terms)
+            for x in (1, -1, 2, -2, 3, -5):
+                expected = sum((Fraction(c) * Fraction(x) ** e for e, c in p.terms.items()), Fraction(0))
+                value = p.evaluate(x)
+                assert value == expected
+                assert isinstance(value, int) == (expected.denominator == 1)
 
 
 class TestDivmod:

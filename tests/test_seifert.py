@@ -27,6 +27,7 @@ from gordian.seifert import (
     unknotting_border,
 )
 from gordian.verify import random_seifert, random_unimodular, random_vector
+from oracles import det_by_cofactors, signature_over_q
 
 P = LaurentPoly.parse
 
@@ -81,20 +82,24 @@ class TestDetInt:
 
 class TestDetLaurent:
     def test_methods_agree(self):
+        # the interpolated determinant against cofactor expansion, with
+        # negative exponents and, in every third matrix, a zero row
         rng = random.Random(17)
-        for _ in range(40):
-            n = rng.choice((1, 2, 3, 4))
+        zero_rows = 0
+        for k in range(84):
+            n = k % 7
             rows = [
                 [
-                    LaurentPoly({e: rng.randint(-3, 3) for e in range(-1, 2)})
+                    LaurentPoly({e: rng.randint(-3, 3) for e in range(-2, 3) if rng.random() < 0.5})
                     for _ in range(n)
                 ]
                 for _ in range(n)
             ]
-            a = det_laurent(rows, method="interpolate")
-            b = det_laurent(rows, method="cofactor")
-            c = det_laurent(rows, method="fraction-free")
-            assert a == b == c
+            if n and k % 3 == 0:
+                rows[rng.randrange(n)] = [LaurentPoly.zero()] * n
+            zero_rows += any(all(p.is_zero for p in row) for row in rows)
+            assert det_laurent(rows) == det_by_cofactors(rows)
+        assert zero_rows >= 24
 
     def test_zero_row(self):
         zero = LaurentPoly.zero()
@@ -114,10 +119,23 @@ class TestAlexander:
         assert alexander(FIG8) == P("-t+3-t^-1")
 
     def test_det_method_agreement(self):
+        # against cofactor expansion of tV - V^T, normalised by t^-(n/2)
         rng = random.Random(23)
-        for _ in range(30):
-            V = random_seifert(rng, rng.choice((2, 4)))
-            assert alexander(V, method="interpolate") == alexander(V, method="fraction-free")
+        for i in range(30):
+            V = random_seifert(rng, (2, 4, 6)[i % 3])
+            expected = det_by_cofactors(presentation_entries(V)).shift(-(V.size // 2))
+            assert alexander(V) == expected
+
+    def test_pencil_identity_up_to_size_24(self):
+        # k^(n/2) Delta(k) = det(kV - V^T) for an n x n matrix, at several k
+        rng = random.Random(24)
+        for n in range(2, 25, 2):
+            V = random_seifert(rng, n)
+            delta = alexander(V)
+            for k in (2, -3, 5):
+                lhs = sum(c * k ** (e + n // 2) for e, c in delta.terms.items())
+                rhs = det_int([[k * V[i][j] - V[j][i] for j in range(n)] for i in range(n)])
+                assert lhs == rhs
 
     def test_random_normalisation(self):
         rng = random.Random(101)
@@ -143,6 +161,24 @@ class TestSignature:
     def test_definite_matrix(self):
         # V + V^T = [[2,1],[1,2]] is positive definite
         assert signature(SeifertMatrix([[1, 1], [0, 1]])) == 2
+
+    def test_against_rational_oracle(self):
+        # entry bound 1 makes many leading principal minors vanish, so the
+        # zero-pivot swap runs often; clearing the diagonal (which leaves
+        # V - V^T alone) makes every pivot search start with the row-add
+        rng = random.Random(97)
+        zero_minor = 0
+        for i in range(1200):
+            V = random_seifert(rng, (2, 4, 6, 8)[i % 4], bound=1)
+            if i % 3 == 0:
+                V = SeifertMatrix([[0 if a == b else x for b, x in enumerate(row)] for a, row in enumerate(V.rows)])
+            sym = [[V[a][b] + V[b][a] for b in range(V.size)] for a in range(V.size)]
+            zero_minor += any(det_int([row[:k] for row in sym[:k]]) == 0 for k in range(1, V.size + 1))
+            assert signature(V) == signature_over_q(V)
+        for i in range(100):
+            V = random_seifert(rng, (10, 12)[i % 2])
+            assert signature(V) == signature_over_q(V)
+        assert zero_minor > 300
 
     def test_against_principal_minor_oracle(self):
         # when every leading principal minor is nonzero the signature is
