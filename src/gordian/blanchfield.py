@@ -4,14 +4,17 @@ Pairing values live in Q(L)/L where L is the integer Laurent ring.  They
 are kept as unreduced fractions (num, den) with den = det(V - tV^T); no
 canonical residue exists when the leading coefficient of the Alexander
 polynomial is not a unit, so equality is decided by cross-multiplied
-divisibility instead.  The adjugate of V - tV^T comes from the integer
-pencil core in seifert (integer cofactors at the nodes, then Newton
-interpolation of each entry).
+divisibility instead.  The adjugate and determinant of V - tV^T come from
+the integer pencil core in seifert (one substitution t = X for a large power
+of two X, integer cofactors there, and each entry read off as base-X
+digits); they are computed once per matrix and shared by every pairing of
+that matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .laurent import LaurentPoly, is_multiple
 from .seifert import (
@@ -74,10 +77,24 @@ def fractions_equal(f: TorsionFraction, g: TorsionFraction) -> bool:
 
 def _pairing_matrix_entries(V: SeifertMatrix):
     """Entries of V - tV^T, the matrix inverted by the pairing formula."""
-    n = V.size
+    rows = V.rows
     return [
-        [LaurentPoly({0: V[i][j], 1: -V[j][i]}) for j in range(n)] for i in range(n)
+        [LaurentPoly({0: a, 1: -b}) for a, b in zip(row, col)]
+        for row, col in zip(rows, zip(*rows))
     ]
+
+
+@lru_cache(maxsize=1)
+def _pencil_inverse(V: SeifertMatrix):
+    """(adj, det) of V - tV^T, so (V - tV^T)^-1 = adj / det.
+
+    Cached for the last matrix: the suites and gram_matrix pair many
+    elements of one module in a row.  The adjugate is a tuple of tuples so
+    that no caller can change the cached value.
+    """
+    rows = _pairing_matrix_entries(V)
+    adj = tuple(tuple(row) for row in adjugate_laurent(rows))
+    return adj, det_laurent(rows)
 
 
 def _as_coords(v, n):
@@ -95,9 +112,7 @@ def pairing(V: SeifertMatrix, v, w) -> TorsionFraction:
     n = V.size
     v = _as_coords(v, n)
     w = _as_coords(w, n)
-    rows = _pairing_matrix_entries(V)
-    adj = adjugate_laurent(rows)
-    den = det_laurent(rows)
+    adj, den = _pencil_inverse(V)
     wbar = [c.bar() for c in w]
     acc = LaurentPoly.zero()
     for i in range(n):
@@ -115,9 +130,7 @@ def gram_matrix(V: SeifertMatrix):
     """All pairings of the standard generators, as a matrix of fractions."""
     if V.size == 0:
         raise ValueError("the 0x0 matrix presents the trivial module")
-    rows = _pairing_matrix_entries(V)
-    adj = adjugate_laurent(rows)
-    den = det_laurent(rows)
+    adj, den = _pencil_inverse(V)
     n = V.size
     return [
         [TorsionFraction(T_MINUS_1 * adj[i][j], den) for j in range(n)]

@@ -23,9 +23,21 @@ class PolyParseError(ValueError):
 
 
 def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
+
+
+def _canonical(table):
+    """table without its zero coefficients, integral Fractions made int."""
+    return {e: c if type(c) is int else _norm_coeff(c) for e, c in table.items() if c}
+
+
+def _from_terms(terms) -> "LaurentPoly":
+    """A polynomial holding terms, which must already be canonical."""
+    p = object.__new__(LaurentPoly)
+    p.terms = terms
+    return p
 
 
 _TERM_RE = re.compile(r"([+-])?(\d+)?(t(?:\^([+-]?\d+))?)?")
@@ -37,16 +49,16 @@ class LaurentPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        table = {}
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for exp, coeff in items:
-                total = table.get(exp, 0) + coeff
-                if total:
-                    table[exp] = total
-                else:
-                    table.pop(exp, None)
-        self.terms = {e: _norm_coeff(c) for e, c in table.items() if c}
+        if not terms:
+            self.terms = {}
+        elif hasattr(terms, "items"):
+            # a mapping holds each exponent once: nothing to merge
+            self.terms = _canonical(terms)
+        else:
+            table = {}
+            for exp, coeff in terms:
+                table[exp] = table.get(exp, 0) + coeff
+            self.terms = _canonical(table)
 
     # -- constructors ------------------------------------------------------
 
@@ -152,16 +164,15 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
+        get = out.get
         for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+            out[e] = get(e, 0) + c
+        return _from_terms(_canonical(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = LaurentPoly()
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return _from_terms({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -176,14 +187,13 @@ class LaurentPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms or not other.terms:
-            return LaurentPoly()
         out = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+                out[e] = get(e, 0) + c1 * c2
+        return _from_terms(_canonical(out))
 
     __rmul__ = __mul__
 
@@ -201,15 +211,11 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """The involution t -> t^-1: negate every exponent."""
-        p = LaurentPoly()
-        p.terms = {-e: c for e, c in self.terms.items()}
-        return p
+        return _from_terms({-e: c for e, c in self.terms.items()})
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        p = LaurentPoly()
-        p.terms = {e + k: c for e, c in self.terms.items()}
-        return p
+        return _from_terms({e + k: c for e, c in self.terms.items()})
 
     def evaluate(self, x: int):
         """Exact substitution t := x for a nonzero integer x.

@@ -3,15 +3,17 @@
 A Seifert matrix is an even-size integer matrix V with det(V - V^T) = 1.
 The 0x0 matrix is allowed and stands for the trivial class.  All arithmetic
 is exact and stays in the integers: determinants of integer matrices use
-Bareiss fraction-free elimination; polynomial determinants and adjugates
-are taken at integer nodes and recovered by Newton interpolation, whose
-divided differences are exact integer divisions; and the signature comes
-from fraction-free symmetric elimination of V + V^T.
+Bareiss fraction-free elimination; a polynomial determinant or adjugate is
+taken once, at t = X for a power of two X above twice the Hadamard bound on
+its coefficients, and the coefficients are read off as the signed base-X
+digits of the result (Kronecker substitution); and the signature comes from
+fraction-free symmetric elimination of V + V^T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .laurent import LaurentPoly
 
@@ -29,7 +31,7 @@ def det_int(rows) -> int:
     n = len(rows)
     if n == 0:
         return 1
-    a = [[int(x) for x in row] for row in rows]
+    a = [list(map(int, row)) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -77,14 +79,14 @@ class SeifertMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(int, row)) for row in entries)
         n = len(rows)
         for row in rows:
             if len(row) != n:
                 raise InvalidMatrixError("matrix must be square")
         if n % 2:
             raise InvalidMatrixError(f"matrix size must be even, got {n}")
-        d = det_int([[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)])
+        d = det_int([[a - b for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))])
         if d != 1:
             raise InvalidMatrixError(f"det(V - V^T) must be 1, got {d}")
         self.rows = rows
@@ -130,39 +132,47 @@ def parse_matrix_text(text: str) -> SeifertMatrix:
 # -- the integer pencil core -------------------------------------------------
 #
 # Every polynomial matrix here is a pencil with integer coefficients, so its
-# determinant and adjugate are found from integer matrices: substitute the
-# nodes 0, 1, -1, 2, -2, ..., take Bareiss determinants, and interpolate.
+# determinant and adjugate are found from one integer matrix (Kronecker
+# substitution): substitute t = X for a power of two X above twice any
+# coefficient the answer can have, take Bareiss determinants, and read the
+# coefficients off as the signed base-X digits of the result.
 
 
-def _nodes(count):
-    """The first count interpolation nodes 0, 1, -1, 2, -2, ..."""
-    return [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(count)]
+def _radix(norms) -> int:
+    """A power of two X > 2B, where B bounds every coefficient of the
+    determinant, and of every cofactor, of a polynomial matrix whose entry
+    (i, j) has coefficient 1-norm norms[i][j].
 
-
-def _newton(points, values):
-    """Integer coefficients, lowest degree first, of the polynomial of
-    degree below len(points) through (points[i], values[i]).
-
-    For a polynomial with integer coefficients every divided difference at
-    integer nodes is an integer, so each division is exact.
+    A coefficient is at most the largest |det| on the unit circle, where
+    each entry is at most its 1-norm.  So Hadamard's inequality gives
+    B = isqrt(prod_i r_i) + 1 with r_i = sum_j norms[i][j]^2.  A zero row
+    counts as 1, which keeps every r_i >= 1 and the bound valid for minors.
     """
-    c = list(values)
-    m = len(c)
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            q, r = divmod(c[i] - c[i - 1], points[i] - points[i - j])
-            assert r == 0, "divided difference of an integer polynomial must be an integer"
-            c[i] = q
-    # Horner on the Newton form: coeffs <- coeffs * (t - points[i]) + c[i]
-    coeffs = [c[-1]]
-    for i in range(m - 2, -1, -1):
-        x = points[i]
-        coeffs = (
-            [c[i] - x * coeffs[0]]
-            + [coeffs[d - 1] - x * coeffs[d] for d in range(1, len(coeffs))]
-            + [coeffs[-1]]
-        )
-    return coeffs
+    product = 1
+    for row in norms:
+        product *= sum(x * x for x in row) or 1
+    return 1 << (2 * (isqrt(product) + 1)).bit_length()
+
+
+def _digits(value: int, X: int, count: int):
+    """The count signed base-X digits of value, lowest first.
+
+    X is a power of two and each digit lies in [-X/2, X/2), so the digits
+    are the coefficients of the polynomial that takes value at t = X
+    whenever its coefficients are below X/2 in size.  Anything left over
+    after count digits means a coefficient was not, and is asserted.
+    """
+    shift = X.bit_length() - 1
+    mask, half = X - 1, X >> 1
+    digits = []
+    for _ in range(count):
+        d = value & mask
+        if d >= half:
+            d -= X
+        digits.append(d)
+        value = (value - d) >> shift
+    assert value == 0, "Kronecker substitution left a remainder: the radix is too small"
+    return digits
 
 
 def _as_laurent(coeffs, shift) -> LaurentPoly:
@@ -185,26 +195,27 @@ def _shifted_rows(rows):
     return shifts, dense, degrees
 
 
-def _substitute(dense, x):
-    """The integer matrix of dense polynomial entries at t = x (Horner)."""
+def _kronecker(dense):
+    """The radix X for dense polynomial entries, and the integer matrix of
+    the entries at t = X (Horner)."""
+    X = _radix([[sum(map(abs, coeffs)) for coeffs in row] for row in dense])
     out = []
     for row in dense:
         values = []
         for coeffs in row:
             value = 0
             for c in reversed(coeffs):
-                value = value * x + c
+                value = value * X + c
             values.append(value)
         out.append(values)
-    return out
+    return X, out
 
 
 def det_laurent(rows) -> LaurentPoly:
     """Exact determinant of a square matrix of Laurent polynomials."""
     shifts, dense, degrees = _shifted_rows(rows)
-    points = _nodes(sum(degrees) + 1)
-    values = [det_int(_substitute(dense, x)) for x in points]
-    return _as_laurent(_newton(points, values), sum(shifts))
+    X, values = _kronecker(dense)
+    return _as_laurent(_digits(det_int(values), X, sum(degrees) + 1), sum(shifts))
 
 
 def _adjugate_int(a):
@@ -230,16 +241,15 @@ def adjugate_laurent(rows):
     if not rows:
         return []
     shifts, dense, degrees = _shifted_rows(rows)
-    points = _nodes(sum(degrees) - min(degrees) + 1)
-    samples = [_adjugate_int(_substitute(dense, x)) for x in points]
-    total = sum(shifts)
-    n = len(rows)
+    X, values = _kronecker(dense)
+    adj = _adjugate_int(values)
+    total, degree = sum(shifts), sum(degrees)
     return [
         [
-            _as_laurent(_newton(points, [s[i][j] for s in samples]), total - shifts[j])
-            for j in range(n)
+            _as_laurent(_digits(entry, X, degree - degrees[j] + 1), total - shifts[j])
+            for j, entry in enumerate(row)
         ]
-        for i in range(n)
+        for row in adj
     ]
 
 
@@ -248,15 +258,16 @@ def adjugate_laurent(rows):
 
 def presentation_entries(V: SeifertMatrix):
     """The matrix tV - V^T as Laurent polynomial entries."""
-    n = V.size
+    rows = V.rows
     return [
-        [LaurentPoly({1: V[i][j], 0: -V[j][i]}) for j in range(n)] for i in range(n)
+        [LaurentPoly({1: a, 0: -b}) for a, b in zip(row, col)]
+        for row, col in zip(rows, zip(*rows))
     ]
 
 
 def _symmetrised(V: SeifertMatrix):
-    n = V.size
-    return [[V[i][j] + V[j][i] for j in range(n)] for i in range(n)]
+    rows = V.rows
+    return [[a + b for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))]
 
 
 def alexander(V: SeifertMatrix) -> LaurentPoly:
@@ -266,13 +277,9 @@ def alexander(V: SeifertMatrix) -> LaurentPoly:
     both are asserted, a failure means a bug rather than bad input.
     """
     n = V.size
-    rows = V.rows
-    points = _nodes(n + 1)
-    values = [
-        det_int([[x * rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)])
-        for x in points
-    ]
-    coeffs = _newton(points, values)
+    pairs = [list(zip(row, col)) for row, col in zip(V.rows, zip(*V.rows))]
+    X = _radix([[abs(a) + abs(b) for a, b in row] for row in pairs])
+    coeffs = _digits(det_int([[X * a - b for a, b in row] for row in pairs]), X, n + 1)
     delta = _as_laurent(coeffs, -(n // 2))
     assert delta.is_bar_symmetric(), "Alexander polynomial must be bar symmetric"
     assert sum(coeffs) == 1, "Alexander polynomial must be 1 at t = 1"

@@ -11,18 +11,30 @@ from gordian.laurent import LaurentPoly
 
 
 def det_by_cofactors(rows) -> LaurentPoly:
-    """Laplace expansion along the first column."""
+    """Laplace expansion along the first column.
+
+    The minor on columns k, k+1, ... is memoised by the rows it keeps, so
+    an n x n matrix costs about n 2^n products rather than n!.
+    """
     n = len(rows)
-    if n == 0:
-        return LaurentPoly.one()
-    total = LaurentPoly.zero()
-    for i in range(n):
-        c = rows[i][0]
-        if c.is_zero:
-            continue
-        term = c * det_by_cofactors([row[1:] for k, row in enumerate(rows) if k != i])
-        total = total + term if i % 2 == 0 else total - term
-    return total
+    memo = {}
+
+    def minor(keep):
+        col = n - len(keep)
+        if col == n:
+            return LaurentPoly.one()
+        if keep not in memo:
+            total = LaurentPoly.zero()
+            for pos, i in enumerate(keep):
+                c = rows[i][col]
+                if c.is_zero:
+                    continue
+                term = c * minor(keep[:pos] + keep[pos + 1 :])
+                total = total + term if pos % 2 == 0 else total - term
+            memo[keep] = total
+        return memo[keep]
+
+    return minor(tuple(range(n)))
 
 
 def adjugate_by_cofactors(rows):

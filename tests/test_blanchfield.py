@@ -110,7 +110,7 @@ class TestAdjugate:
                     assert entry == (det if i == j else LaurentPoly.zero())
 
     def test_methods_agree(self):
-        # the interpolated adjugate against the cofactor oracle, with
+        # the Kronecker adjugate against the cofactor oracle, with
         # negative exponents
         rng = random.Random(19)
         for _ in range(12):
@@ -180,6 +180,23 @@ class TestPairing:
             lhs = pairing(V, [a * c for c in x], [b * c for c in y])
             rhs = pairing(V, x, y).scale(a * b.bar())
             assert fractions_equal(lhs, rhs)
+
+    def test_generators_match_gram_matrix_across_matrices(self):
+        # the inverse of V - tV^T is kept for the last matrix only; pairing
+        # matrices in turn must never read another matrix's inverse
+        rng = random.Random(31)
+        mats = [random_seifert(rng, n) for n in (2, 4, 4, 6)] + [TREFOIL]
+        grams = [gram_matrix(V) for V in mats]
+        for _ in range(3):
+            for V, gram in zip(mats, grams):
+                n = V.size
+                i, j = rng.randrange(n), rng.randrange(n)
+                e_i = [int(k == i) for k in range(n)]
+                e_j = [int(k == j) for k in range(n)]
+                assert pairing(V, e_i, e_j) == gram[i][j]
+                rows = [[LaurentPoly({0: V[a][b], 1: -V[b][a]}) for b in range(n)] for a in range(n)]
+                assert gram[i][j].num == P("t-1") * adjugate_by_cofactors(rows)[i][j]
+                assert gram[i][j].den == det_laurent(rows)
 
 
 class TestGramMatrix:

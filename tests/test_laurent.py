@@ -47,6 +47,51 @@ class TestParsePrint:
         assert P("t+t-2t") == L.zero()
 
 
+class TestConstruction:
+    def test_pairs_with_cancelling_duplicates(self):
+        p = L([(1, 2), (0, 5), (1, -2), (3, 1), (0, -5), (0, 4)])
+        assert p.terms == {3: 1, 0: 4}
+        assert L([(2, 1), (2, -1)]).terms == {}
+
+    def test_integral_fractions_become_int(self):
+        half = Fraction(1, 2)
+        made = [
+            L({0: Fraction(4, 2), 1: Fraction(-3, 1)}),
+            L([(0, half), (0, half)]),
+            L({1: half}) + L({1: half, 0: Fraction(3, 2)}) + L({0: half}),
+            L({1: half, 0: Fraction(1, 4)}) * L({0: 2}) * L({0: 2}),
+            L({0: half}) * 2 + 1,
+        ]
+        for p in made:
+            assert p.terms and p.is_integral
+            assert all(type(c) is int for c in p.terms.values())
+
+    def test_integral_fractions_feed_the_residue_criteria(self):
+        # the remainder of an exact rational division has int coefficients
+        delta = P("t-1+t^-1")
+        q = L({1: Fraction(1, 3), 0: Fraction(2, 3)})
+        _, r = divmod_rational(delta * q * 3 + 6, delta)
+        assert r.terms == {0: 6} and type(r.terms[0]) is int
+        assert r.is_constant and r.is_integral
+
+    def test_non_integral_fractions_kept(self):
+        third = Fraction(1, 3)
+        for p in (L({0: third}), L([(1, third), (1, third)]), L({0: third}) + 1, L({0: third}) * L({1: 2})):
+            assert not p.is_integral
+            assert all(type(c) is Fraction and c.denominator == 3 for c in p.terms.values())
+
+    def test_no_zero_coefficient_stored(self):
+        rng = random.Random(12)
+        zero_fraction = Fraction(0, 5)
+        assert L({0: 0, 1: zero_fraction, 2: 3}).terms == {2: 3}
+        assert L([(0, 0), (1, zero_fraction)]).terms == {}
+        for _ in range(300):
+            p, q = random_poly(rng, max_coeff=2), random_poly(rng, max_coeff=2)
+            half = L({e: Fraction(c, 2) for e, c in q.terms.items()})
+            for result in (p + q, p - p, p * q, p * L.zero(), half + half - q, half * 2 - q, -p, p.shift(3)):
+                assert 0 not in result.terms.values()
+
+
 class TestArithmetic:
     def test_add_cancellation(self):
         assert P("t-1") + P("1") == P("t")

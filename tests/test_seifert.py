@@ -82,7 +82,7 @@ class TestDetInt:
 
 class TestDetLaurent:
     def test_methods_agree(self):
-        # the interpolated determinant against cofactor expansion, with
+        # the Kronecker determinant against cofactor expansion, with
         # negative exponents and, in every third matrix, a zero row
         rng = random.Random(17)
         zero_rows = 0

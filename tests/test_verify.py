@@ -55,6 +55,13 @@ class TestSuiteRunner:
             result = run_suite(name, seed=3, iters=5)
             assert result.passed, (name, result.counterexample)
 
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_all_suites_pass_at_default_iterations(self, seed):
+        # each suite as the verify command runs it by default
+        for name in SUITES:
+            result = run_suite(name, seed=seed)
+            assert result.passed, (name, result.counterexample)
+
     def test_unknown_suite(self):
         with pytest.raises(KeyError):
             run_suite("bogus", 0, 1)
