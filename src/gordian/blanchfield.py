@@ -6,8 +6,8 @@ canonical residue exists when the leading coefficient of the Alexander
 polynomial is not a unit, so equality is decided by cross-multiplied
 divisibility instead.  The adjugate and determinant of V - tV^T come from
 the integer pencil core in seifert (one substitution t = X for a large power
-of two X, integer cofactors there, and each entry read off as base-X
-digits); they are computed once per matrix and shared by every pairing of
+of two X, one fraction-free Gauss-Jordan elimination there, and each entry
+read off as base-X digits); they are computed once per matrix and shared by every pairing of
 that matrix.
 """
 

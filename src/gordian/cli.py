@@ -1,5 +1,13 @@
 """Command line surface.
 
+One table, ``_COMMANDS``, maps each command name to its help text, its
+arguments and its handler.  ``main`` builds a single parser for the
+command named by the first argument, so a run pays for one command's
+arguments only.  The full parser, with one subparser per command, is
+built only for ``-h``, an unknown command or no command, so help and
+usage errors read the same on both paths.  The set of flags that take a
+value, which lets a value begin with ``-``, comes from the same table.
+
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 verification
 suite failure.
 """
@@ -22,6 +30,14 @@ from .seifert import (
 from .blanchfield import gram_matrix
 from .tables import load_entries, parse_table_csv
 from .verify import SUITES, run_suite
+
+
+# the text of gordian -h
+_DESCRIPTION = """Command line surface.
+
+Exit codes: 0 success, 1 usage error, 2 invalid input, 3 verification
+suite failure.
+"""
 
 
 class UsageError(Exception):
@@ -193,68 +209,98 @@ def cmd_table(args, out) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="gordian", description=__doc__)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+# name -> (help, arguments, handler); each argument is (flags, keywords) for
+# add_argument.  Both the parsers and the option flags come from this table.
+_MATRIX = (("--matrix",), {"required": True})
+_COMMANDS = {
+    "alex": ("print the Alexander polynomial of a matrix file", (_MATRIX,), cmd_alex),
+    "invariants": (
+        "print Alexander polynomial, signature, determinant",
+        (_MATRIX,),
+        cmd_invariants,
+    ),
+    "blanchfield": (
+        "print the pairing matrix of the standard generators",
+        (_MATRIX,),
+        cmd_blanchfield,
+    ),
+    "quadform": (
+        "decide h^2 x^2 + (2h-1)xy + y^2 = +-d",
+        (
+            (("h",), {"type": int}),
+            (("d",), {"type": int}),
+            (("--bound",), {"type": int, "default": 10_000}),
+        ),
+        cmd_quadform,
+    ),
+    "obstruct": (
+        "run the obstruction battery on a pair of inputs",
+        (
+            (("--delta1",), {}),
+            (("--matrix1",), {}),
+            (("--delta2",), {}),
+            (("--matrix2",), {}),
+            (("--ua1",), {"type": int}),
+            (("--ua2",), {"type": int}),
+            (("--bound",), {"type": int}),
+            (("--manifest",), {"help": "batch mode: one pair per line, inputs separated by |"}),
+        ),
+        cmd_obstruct,
+    ),
+    "verify": (
+        "run a seeded randomized verification suite",
+        (
+            (("--suite",), {"required": True}),
+            (("--seed",), {"type": int, "default": 0}),
+            (("--iters",), {"type": int, "default": None}),
+        ),
+        cmd_verify,
+    ),
+    "table": (
+        "bundled example knots",
+        (
+            (("action",), {"choices": ("list", "show", "import")}),
+            (("label",), {"nargs": "?", "metavar": "label-or-file"}),
+        ),
+        cmd_table,
+    ),
+}
 
-    p = sub.add_parser("alex", help="print the Alexander polynomial of a matrix file")
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(func=cmd_alex)
 
-    p = sub.add_parser("invariants", help="print Alexander polynomial, signature, determinant")
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("blanchfield", help="print the pairing matrix of the standard generators")
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(func=cmd_blanchfield)
-
-    p = sub.add_parser("quadform", help="decide h^2 x^2 + (2h-1)xy + y^2 = +-d")
-    p.add_argument("h", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("--bound", type=int, default=10_000)
-    p.set_defaults(func=cmd_quadform)
-
-    p = sub.add_parser("obstruct", help="run the obstruction battery on a pair of inputs")
-    p.add_argument("--delta1")
-    p.add_argument("--matrix1")
-    p.add_argument("--delta2")
-    p.add_argument("--matrix2")
-    p.add_argument("--ua1", type=int)
-    p.add_argument("--ua2", type=int)
-    p.add_argument("--bound", type=int)
-    p.add_argument("--manifest", help="batch mode: one pair per line, inputs separated by |")
-    p.set_defaults(func=cmd_obstruct)
-
-    p = sub.add_parser("verify", help="run a seeded randomized verification suite")
-    p.add_argument("--suite", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iters", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("table", help="bundled example knots")
-    p.add_argument("action", choices=("list", "show", "import"))
-    p.add_argument("label", nargs="?", metavar="label-or-file")
-    p.set_defaults(func=cmd_table)
-
+def _add_arguments(parser: _Parser, name: str) -> _Parser:
+    _, arguments, handler = _COMMANDS[name]
+    for flags, keywords in arguments:
+        parser.add_argument(*flags, **keywords)
+    parser.set_defaults(func=handler)
     return parser
 
 
+def build_parser() -> _Parser:
+    """The full parser: every command as a subparser.  main needs it only
+    for help, an unknown command or no command at all."""
+    parser = _Parser(prog="gordian", description=_DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
+    return parser
+
+
+def _parser_for(argv):
+    """The parser for argv and the arguments it should parse: one
+    command's parser when argv starts with a command, else the full one."""
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        return _add_arguments(_Parser(prog=f"gordian {name}"), name), argv[1:]
+    return build_parser(), argv
+
+
+# every option here takes a value
 _VALUE_FLAGS = frozenset(
-    {
-        "--delta1",
-        "--delta2",
-        "--matrix1",
-        "--matrix2",
-        "--matrix",
-        "--ua1",
-        "--ua2",
-        "--bound",
-        "--manifest",
-        "--suite",
-        "--seed",
-        "--iters",
-    }
+    flag
+    for _, arguments, _ in _COMMANDS.values()
+    for flags, _ in arguments
+    for flag in flags
+    if flag.startswith("-")
 )
 _KNOWN_FLAGS = _VALUE_FLAGS | {"-h", "--help"}
 
@@ -282,11 +328,11 @@ def _merge_option_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_option_values(list(argv))
     try:
+        parser, argv = _parser_for(argv)
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             raise UsageError("a subcommand is required")

@@ -178,7 +178,11 @@ class LaurentPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        get = out.get
+        for e, c in other.terms.items():
+            out[e] = get(e, 0) - c
+        return _from_terms(_canonical(out))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -224,6 +228,10 @@ class LaurentPoly:
         """
         if x == 0:
             raise ValueError("cannot evaluate at t = 0")
+        if x == 1:
+            return _norm_coeff(sum(self.terms.values()))
+        if x == -1:
+            return _norm_coeff(sum(-c if e & 1 else c for e, c in self.terms.items()))
         # x^low * value is a polynomial in x: sum it, divide once at the end
         low = min(0, min(self.terms, default=0))
         num = sum(c * x ** (e - low) for e, c in self.terms.items())
@@ -267,7 +275,7 @@ class LaurentPoly:
 
 
 def _coerce(value):
-    if isinstance(value, LaurentPoly):
+    if type(value) is LaurentPoly:
         return value
     if isinstance(value, (int, Fraction)):
         return LaurentPoly({0: value})

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _from_terms
 
 
 class InvalidMatrixError(ValueError):
@@ -28,10 +28,14 @@ class NotDefiniteError(ValueError):
 
 def det_int(rows) -> int:
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    n = len(rows)
+    return _bareiss([list(map(int, row)) for row in rows])
+
+
+def _bareiss(a) -> int:
+    """det_int of a, a list of fresh int rows that it overwrites."""
+    n = len(a)
     if n == 0:
         return 1
-    a = [list(map(int, row)) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -86,7 +90,7 @@ class SeifertMatrix:
                 raise InvalidMatrixError("matrix must be square")
         if n % 2:
             raise InvalidMatrixError(f"matrix size must be even, got {n}")
-        d = det_int([[a - b for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))])
+        d = _bareiss([[a - b for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))])
         if d != 1:
             raise InvalidMatrixError(f"det(V - V^T) must be 1, got {d}")
         self.rows = rows
@@ -134,7 +138,8 @@ def parse_matrix_text(text: str) -> SeifertMatrix:
 # Every polynomial matrix here is a pencil with integer coefficients, so its
 # determinant and adjugate are found from one integer matrix (Kronecker
 # substitution): substitute t = X for a power of two X above twice any
-# coefficient the answer can have, take Bareiss determinants, and read the
+# coefficient the answer can have, take a Bareiss determinant (or, for the
+# adjugate, one fraction-free Gauss-Jordan elimination), and read the
 # coefficients off as the signed base-X digits of the result.
 
 
@@ -176,7 +181,7 @@ def _digits(value: int, X: int, count: int):
 
 
 def _as_laurent(coeffs, shift) -> LaurentPoly:
-    return LaurentPoly({d + shift: c for d, c in enumerate(coeffs)})
+    return _from_terms({d + shift: c for d, c in enumerate(coeffs) if c})
 
 
 def _shifted_rows(rows):
@@ -215,16 +220,51 @@ def det_laurent(rows) -> LaurentPoly:
     """Exact determinant of a square matrix of Laurent polynomials."""
     shifts, dense, degrees = _shifted_rows(rows)
     X, values = _kronecker(dense)
-    return _as_laurent(_digits(det_int(values), X, sum(degrees) + 1), sum(shifts))
+    return _as_laurent(_digits(_bareiss(values), X, sum(degrees) + 1), sum(shifts))
 
 
 def _adjugate_int(a):
-    """Integer adjugate by cofactors: adj[i][j] = (-1)^(i+j) det(a without row j, column i)."""
+    """Integer adjugate adj(a) of a square int matrix, so adj(a) a = det(a) I.
+
+    Fraction-free Gauss-Jordan elimination of [a | I] (Bareiss's exact
+    division, applied above the pivot as well as below) ends at
+    [p I | R] with p = det(Pa) and R = p (Pa)^-1 for the row swaps P, so
+    adj(a) = sign(P) R.  A singular a leaves a zero pivot column; then the
+    adjugate is taken cofactor by cofactor.
+    """
+    n = len(a)
+    rows = [row + [0] * n for row in a]
+    for i, row in enumerate(rows):
+        row[n + i] = 1
+    sign = 1
+    prev = 1
+    width = range(2 * n)
+    for k in range(n):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return _adjugate_by_cofactors(a)
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot = rows[k]
+        p = pivot[k]
+        cols = width[k + 1 :]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                for j in cols:
+                    row[j] = (row[j] * p - f * pivot[j]) // prev
+        prev = p
+    return [row[n:] if sign > 0 else [-x for x in row[n:]] for row in rows]
+
+
+def _adjugate_by_cofactors(a):
+    """adj[i][j] = (-1)^(i+j) det(a without row j, column i)."""
     n = len(a)
     return [
         [
             (-1) ** (i + j)
-            * det_int([row[:i] + row[i + 1 :] for k, row in enumerate(a) if k != j])
+            * _bareiss([row[:i] + row[i + 1 :] for k, row in enumerate(a) if k != j])
             for j in range(n)
         ]
         for i in range(n)
@@ -276,10 +316,12 @@ def alexander(V: SeifertMatrix) -> LaurentPoly:
     The result is symmetric under t -> t^-1 and takes the value 1 at t = 1;
     both are asserted, a failure means a bug rather than bad input.
     """
-    n = V.size
-    pairs = [list(zip(row, col)) for row, col in zip(V.rows, zip(*V.rows))]
-    X = _radix([[abs(a) + abs(b) for a, b in row] for row in pairs])
-    coeffs = _digits(det_int([[X * a - b for a, b in row] for row in pairs]), X, n + 1)
+    rows = V.rows
+    n = len(rows)
+    cols = list(zip(*rows))
+    X = _radix([[abs(a) + abs(b) for a, b in zip(row, col)] for row, col in zip(rows, cols)])
+    pencil = [[X * a - b for a, b in zip(row, col)] for row, col in zip(rows, cols)]
+    coeffs = _digits(_bareiss(pencil), X, n + 1)
     delta = _as_laurent(coeffs, -(n // 2))
     assert delta.is_bar_symmetric(), "Alexander polynomial must be bar symmetric"
     assert sum(coeffs) == 1, "Alexander polynomial must be 1 at t = 1"
@@ -328,7 +370,7 @@ def signature(V: SeifertMatrix) -> int:
 def knot_determinant(V: SeifertMatrix) -> int:
     """The determinant invariant |Delta(-1)| = |det(V + V^T)|; always odd
     for valid input."""
-    d = abs(det_int(_symmetrised(V)))
+    d = abs(_bareiss(_symmetrised(V)))
     assert d % 2 == 1, "knot determinant must be odd"
     return d
 

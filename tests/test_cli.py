@@ -1,5 +1,7 @@
 import pytest
 
+import cli_equivalence
+from gordian import cli
 from gordian.cli import main
 
 TREFOIL_TEXT = "-1 1\n0 -1\n"
@@ -264,3 +266,83 @@ class TestUsage:
     def test_unknown_flag_exit_1(self, capsys, trefoil_file):
         code, _, err = run(capsys, ["alex", "--matrix", trefoil_file, "--frob"])
         assert code == 1
+
+
+class TestParsers:
+    """main builds one parser for a known command; the full parser is for
+    help, unknown commands and no command, and both read argv alike."""
+
+    def test_known_command_builds_one_parser(self, monkeypatch, capsys, trefoil_file):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        argvs = {
+            "alex": ["alex", "--matrix", trefoil_file],
+            "invariants": ["invariants", "--matrix", trefoil_file],
+            "blanchfield": ["blanchfield", "--matrix", trefoil_file],
+            "quadform": ["quadform", "1", "3"],
+            "obstruct": ["obstruct", "--delta1", "t-1+t^-1", "--delta2", "-t+3-t^-1"],
+            "verify": ["verify", "--suite", "eq5", "--iters", "2"],
+            "table": ["table", "list"],
+        }
+        assert set(argvs) == set(cli._COMMANDS)
+        for name, argv in argvs.items():
+            built.clear()
+            assert main(argv) == 0
+            assert built == [f"gordian {name}"]
+        for argv in ([], ["frob"], ["--matrix", trefoil_file]):
+            built.clear()
+            assert main(argv) == 1
+            assert len(built) == 1 + len(cli._COMMANDS)
+        capsys.readouterr()
+
+    def test_same_outcome_as_full_parser(self, tmp_path):
+        argvs = cli_equivalence.corpus(cli_equivalence.write_inputs(str(tmp_path)))
+        assert len(argvs) > 90
+        assert cli_equivalence.mismatches(argvs) == []
+
+    def test_value_flags_are_the_options_of_every_command(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        options = set()
+        for parser in sub.choices.values():
+            for action in parser._actions:
+                if action.option_strings and action.nargs != 0:
+                    options.update(action.option_strings)
+        assert cli._VALUE_FLAGS == options
+        assert cli._KNOWN_FLAGS == options | {"-h", "--help"}
+
+    def test_every_option_takes_a_value_starting_with_minus(self):
+        positionals = {"quadform": ["1", "3"], "table": ["list"]}
+        for name in cli._COMMANDS:
+            parser, _ = cli._parser_for([name])
+            options = [a for a in parser._actions if a.option_strings and a.nargs != 0]
+            required = [a for a in options if a.required]
+            for action in options:
+                value, expected = ("-3", -3) if action.type is int else ("-t+3-t^-1", "-t+3-t^-1")
+                argv = [name, *positionals.get(name, [])]
+                for other in required:
+                    if other is not action:
+                        argv += [other.option_strings[0], "x"]
+                argv += [action.option_strings[0], value]
+                parser, rest = cli._parser_for(cli._merge_option_values(argv))
+                args = parser.parse_args(rest)
+                assert getattr(args, action.dest) == expected, argv
+
+    def test_negative_values_run(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--suite", "eq5", "--seed", "-3", "--iters", "2"])
+        assert code == 0
+        assert "seed: -3" in out
+        code, out, _ = run(capsys, ["obstruct", "--delta1", "-t+3-t^-1", "--delta2", "t-1+t^-1"])
+        assert code == 0
+        assert out.startswith("input1: -t+3-t^-1\n")
+        # parsed as a value, then refused by the report rather than the parser
+        code, _, err = run(
+            capsys, ["obstruct", "--delta1", "-t+3-t^-1", "--delta2", "t-1+t^-1", "--ua1", "-1"]
+        )
+        assert code == 2
+        assert "nonnegative" in err

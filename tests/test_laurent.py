@@ -149,6 +149,21 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             P("t").evaluate(0)
 
+    def test_plus_minus_one_keep_the_result_type(self):
+        # the sums at t = 1 and t = -1 skip the general path
+        cases = [
+            (L({1: Fraction(1, 2), -1: Fraction(1, 2)}), 1, -1),
+            (L({0: Fraction(1, 2), 2: Fraction(-1, 2)}), 0, 0),
+            (L({-3: Fraction(1, 3), 0: 1}), Fraction(4, 3), Fraction(2, 3)),
+            (L({-3: 2, 4: -5, 0: 7}), 4, 0),
+            (L.zero(), 0, 0),
+        ]
+        for p, at_one, at_minus_one in cases:
+            for x, expected in ((1, at_one), (-1, at_minus_one)):
+                value = p.evaluate(x)
+                assert value == expected
+                assert type(value) is type(expected)
+
     def test_against_fraction_reference(self):
         rng = random.Random(7)
         for i in range(400):

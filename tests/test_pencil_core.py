@@ -147,6 +147,54 @@ class TestAdjugateLaurent:
             assert adj == adjugate_by_cofactors(rows)
 
 
+class TestAdjugateInt:
+    """The integer adjugate by one fraction-free Gauss-Jordan elimination,
+    with the cofactor sweep kept for singular matrices."""
+
+    @staticmethod
+    def oracle(m):
+        rows = [[LaurentPoly.const(x) for x in row] for row in m]
+        return [[p.constant_value for p in row] for row in adjugate_by_cofactors(rows)]
+
+    def check(self, m):
+        before = [list(row) for row in m]
+        adj = seifert._adjugate_int(m)
+        assert m == before
+        assert adj == self.oracle(m)
+
+    def test_sizes_0_to_8(self):
+        rng = random.Random(52)
+        for n in range(9):
+            for _ in range(4 if n < 7 else 1):
+                self.check([[rng.randint(-BIG, BIG) for _ in range(n)] for _ in range(n)])
+
+    def test_zero_pivots_force_swaps(self):
+        rng = random.Random(53)
+        for n in range(2, 8):
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            m[0][0] = 0
+            self.check(m)
+            # the leading 2x2 minor vanishes, so the second pivot is zero
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            m[1][:2] = [3 * m[0][0], 3 * m[0][1]]
+            self.check(m)
+        self.check([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+
+    def test_singular(self):
+        rng = random.Random(54)
+        for n in range(1, 8):
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            m[rng.randrange(n)] = [0] * n
+            self.check(m)
+            if n > 1:
+                m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                i, j = rng.sample(range(n), 2)
+                m[j] = list(m[i])
+                self.check(m)
+        self.check([[0]])
+        self.check([[2, 4], [1, 2]])
+
+
 class TestAlexander:
     def test_large_entries(self):
         rng = random.Random(51)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -54,6 +55,21 @@ class TestValidate:
         with pytest.raises(InvalidMatrixError, match="square"):
             SeifertMatrix([[1, 2], [3, 4], [5, 6]])
 
+    def test_messages(self):
+        cases = [
+            ([[1, 2], [3, 4], [5, 6]], "matrix must be square"),
+            ([[1, 2], [3]], "matrix must be square"),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "matrix size must be even, got 3"),
+            ([[0, 0], [0, 0]], "det(V - V^T) must be 1, got 0"),
+            ([[0, 3], [0, 0]], "det(V - V^T) must be 1, got 9"),
+            ([[True, 2], [False, 1]], "det(V - V^T) must be 1, got 4"),
+        ]
+        for rows, message in cases:
+            with pytest.raises(InvalidMatrixError) as info:
+                SeifertMatrix(rows)
+            assert str(info.value) == message
+        assert SeifertMatrix([[True, True], [False, True]]).rows == ((1, 1), (0, 1))
+
 
 class TestDetInt:
     def test_empty(self):
@@ -78,6 +94,22 @@ class TestDetInt:
             n = rng.choice((1, 2, 3, 4, 5))
             m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             assert det_int(m) == cof(m)
+
+    def test_argument_unchanged(self):
+        rng = random.Random(4)
+        for n in range(1, 7):
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            m[0][0] = 0  # the first pivot needs a row swap
+            before = [list(row) for row in m]
+            det_int(m)
+            assert m == before
+        rows = ((0, 1), (1, 0))
+        assert det_int(rows) == -1 and rows == ((0, 1), (1, 0))
+
+    def test_integral_non_int_entries(self):
+        assert det_int([[True, False], [False, True]]) == 1
+        assert det_int([[True, True], [True, False]]) == -1
+        assert det_int([[Fraction(4, 2), 1], [3, 2.0]]) == 1
 
 
 class TestDetLaurent:
