@@ -5,11 +5,9 @@ from .laurent import LaurentPoly, PolyParseError, divmod_rational, is_multiple
 from .seifert import (
     InvalidMatrixError,
     KnotInvariants,
-    NotDefiniteError,
     SeifertMatrix,
     alexander,
     congruent_transform,
-    definite_normal_form,
     det_int,
     det_laurent,
     enlarge,
@@ -22,14 +20,12 @@ from .seifert import (
     unknotting_border,
 )
 from .blanchfield import (
-    ModulePresentation,
     TorsionFraction,
     adjugate_laurent,
     border_self_pairing_check,
     fractions_equal,
     gram_matrix,
     pairing,
-    presentation,
 )
 from .obstruct import (
     CcBarWitness,

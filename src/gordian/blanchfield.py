@@ -22,30 +22,9 @@ from .seifert import (
     adjugate_laurent,
     alexander,
     det_laurent,
-    presentation_entries,
 )
 
 T_MINUS_1 = LaurentPoly({1: 1, 0: -1})
-
-
-@dataclass(frozen=True)
-class ModulePresentation:
-    """Square matrix tV - V^T presenting the module of a Seifert matrix."""
-
-    matrix: tuple
-    source: SeifertMatrix
-
-
-def presentation(V: SeifertMatrix) -> ModulePresentation:
-    """Presentation matrix tV - V^T; its determinant is t^n Delta(V)."""
-    if V.size == 0:
-        raise ValueError("the 0x0 matrix presents the trivial module")
-    entries = presentation_entries(V)
-    det = det_laurent(entries)
-    expected = alexander(V).shift(V.size // 2)
-    if det != expected:
-        raise AssertionError("presentation determinant disagrees with the Alexander polynomial")
-    return ModulePresentation(tuple(tuple(row) for row in entries), V)
 
 
 @dataclass(frozen=True)

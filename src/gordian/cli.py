@@ -25,6 +25,7 @@ from .seifert import (
     KnotInvariants,
     SeifertMatrix,
     alexander,
+    check_alexander,
     parse_matrix_text,
 )
 from .blanchfield import gram_matrix
@@ -83,6 +84,17 @@ def cmd_blanchfield(args, out) -> int:
     return 0
 
 
+def _search_bound(text: str) -> int:
+    """The argparse type of --bound: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def cmd_quadform(args, out) -> int:
     verdict: QuadFormVerdict = quadform_represents(args.h, args.d, args.bound)
     print(f"form: {args.h * args.h}x^2 + ({2 * args.h - 1})xy + y^2 = +-({args.d})", file=out)
@@ -100,7 +112,7 @@ def _obstruct_input(delta_text, matrix_path, which):
     if (delta_text is None) == (matrix_path is None):
         raise UsageError(f"provide exactly one of --delta{which} or --matrix{which}")
     if delta_text is not None:
-        return LaurentPoly.parse(delta_text)
+        return check_alexander(LaurentPoly.parse(delta_text))
     return _load_matrix(matrix_path)
 
 
@@ -115,7 +127,7 @@ def _parse_manifest_token(token: str):
     token = token.strip()
     if os.path.exists(token):
         return _load_matrix(token)
-    return LaurentPoly.parse(token)
+    return check_alexander(LaurentPoly.parse(token))
 
 
 def cmd_obstruct(args, out) -> int:
@@ -229,7 +241,7 @@ _COMMANDS = {
         (
             (("h",), {"type": int}),
             (("d",), {"type": int}),
-            (("--bound",), {"type": int, "default": 10_000}),
+            (("--bound",), {"type": _search_bound, "default": 10_000}),
         ),
         cmd_quadform,
     ),
@@ -242,7 +254,7 @@ _COMMANDS = {
             (("--matrix2",), {}),
             (("--ua1",), {"type": int}),
             (("--ua2",), {"type": int}),
-            (("--bound",), {"type": int}),
+            (("--bound",), {"type": _search_bound}),
             (("--manifest",), {"help": "batch mode: one pair per line, inputs separated by |"}),
         ),
         cmd_obstruct,

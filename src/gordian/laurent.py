@@ -201,18 +201,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined for general polynomials")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def bar(self) -> "LaurentPoly":
         """The involution t -> t^-1: negate every exponent."""
         return _from_terms({-e: c for e, c in self.terms.items()})

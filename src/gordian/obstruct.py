@@ -12,7 +12,7 @@ on every report it emits.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isqrt
 
 from .laurent import LaurentPoly, divmod_rational, is_multiple
@@ -237,10 +237,16 @@ class SearchBounds:
 
 @dataclass(frozen=True)
 class CriterionResult:
+    """One criterion's verdict, its certificate, and the lower bounds on the
+    three distances that the verdict certifies (0 when it certifies none)."""
+
     name: str
     applicable: bool
     verdict: str  # "Obstructs" | "NoObstruction" | "Inconclusive"
     certificate: str
+    rho_lower: int = 0
+    dga_lower: int = 0
+    dg_lower: int = 0
 
 
 @dataclass(frozen=True)
@@ -286,9 +292,8 @@ class _Side:
     label: str
     delta: LaurentPoly
     matrix: SeifertMatrix | None
-    ua: int | None
     sigma: int | None
-    det: int
+    det: int  # |Delta(-1)|, or 0 when that is not an integer
     ua_one_certificate: str | None
 
 
@@ -325,7 +330,7 @@ def _is_prime_or_one(n: int) -> bool:
     return True
 
 
-def _make_side(value, ua, default_label) -> _Side:
+def _make_side(value, ua, label) -> _Side:
     if isinstance(value, SeifertMatrix):
         matrix, delta = value, alexander(value)
         sigma, det = signature(value), knot_determinant(value)
@@ -337,29 +342,141 @@ def _make_side(value, ua, default_label) -> _Side:
         det = abs(det) if isinstance(det, int) else 0
     else:
         raise TypeError("input must be a SeifertMatrix or a LaurentPoly")
-    return _Side(default_label, delta, matrix, ua, sigma, det, _ua_one_certificate(delta, matrix, ua))
+    certificate = _ua_one_certificate(delta, matrix, ua)
+    return _Side(label or str(delta), delta, matrix, sigma, det, certificate)
 
 
-def _quadform_row(side_mod: _Side, side_other: _Side, bounds: SearchBounds):
-    """Evaluate the quadratic form route with side_mod as the modulus.
+# -- the criteria: each takes the two sides in argument order ------------------------
 
-    Returns None when the hypotheses fail, else a dict with the pieces the
-    aggregation needs.
+
+def _alexander_distance(s1: _Side, s2: _Side) -> CriterionResult:
+    """Distinct Alexander polynomials force every distance to be at least 1."""
+    name = "alexander-distance"
+    if s1.delta == s2.delta:
+        return CriterionResult(name, True, "NoObstruction", "Alexander polynomials are equal")
+    return CriterionResult(name, True, "Obstructs", "Alexander polynomials differ", rho_lower=1)
+
+
+def _parity(s1: _Side, s2: _Side) -> CriterionResult:
+    """Hypotheses: distinct polynomials, one of them t + t^-1 - 1.  A remainder
+    of the other modulo it that is an integer 2 mod 4 gives rho >= 2."""
+    parts, fired = [], False
+    if s1.delta != s2.delta:
+        for mod, other in ((s1, s2), (s2, s1)):
+            if mod.delta != TREFOIL_DELTA:
+                continue
+            res = parity_criterion(other.delta)
+            fired = fired or res.obstructs
+            if res.obstructs:
+                detail = f"= 2 + 4*({res.m}), m = {res.m}"
+            else:
+                detail = "is not 2 mod 4"
+            parts.append(f"mod {mod.label}: remainder = {res.remainder} {detail}")
+    if not parts:
+        return CriterionResult(
+            "parity", False, "Inconclusive", "requires distinct polynomials, one equal to t+t^-1-1"
+        )
+    if fired:
+        return CriterionResult("parity", True, "Obstructs", "; ".join(parts), rho_lower=2)
+    return CriterionResult("parity", True, "NoObstruction", "; ".join(parts))
+
+
+def _quadratic_form(s1: _Side, s2: _Side, bounds: SearchBounds) -> CriterionResult:
+    """The paper's criterion, tried with each side as the modulus.
+
+    Hypotheses: distinct polynomials; the modulus is h(t + t^-1) + 1 - 2h with
+    |h| prime or 1 and a certified u_a = 1; the other side is congruent to a
+    nonzero integer d modulo it.  No integer solution of
+    h^2 x^2 + (2h-1) xy + y^2 = +-d gives dga >= 2, and rho >= 2 when h is in
+    SMALL_H, since then every class with the modulus polynomial has u_a = 1.
     """
-    h = _h_form_value(side_mod.delta)
-    if h is None or not _is_prime_or_one(abs(h)):
-        return None
-    d = constant_residue(side_other.delta, side_mod.delta)
-    if d is None:
-        return None
-    cert = side_mod.ua_one_certificate
-    if cert is None:
-        return None
-    verdict = quadform_represents(h, d, bounds.quadform_bound)
-    if verdict.outcome == "witness":
-        v = form_value(h, verdict.x, verdict.y)
-        assert v == verdict.sign * d
-    return {"h": h, "d": d, "verdict": verdict, "ua_cert": cert, "mod": side_mod.label}
+    parts, outcomes, rho = [], set(), 0
+    if s1.delta != s2.delta:
+        for mod, other in ((s1, s2), (s2, s1)):
+            h = _h_form_value(mod.delta)
+            if h is None or not _is_prime_or_one(abs(h)):
+                continue
+            d = constant_residue(other.delta, mod.delta)
+            if d is None or mod.ua_one_certificate is None:
+                continue
+            v = quadform_represents(h, d, bounds.quadform_bound)
+            outcomes.add(v.outcome)
+            if v.outcome == "refuted":
+                detail = "no integer solution (exhaustive box)"
+                rho = 2 if h in SMALL_H else rho
+            elif v.outcome == "witness":
+                assert form_value(h, v.x, v.y) == v.sign * d
+                detail = f"witness x = {v.x}, y = {v.y} gives {v.sign * d}"
+            else:
+                detail = f"inconclusive up to |x| <= {v.searched_bound}"
+            cert = mod.ua_one_certificate
+            parts.append(f"mod {mod.label}: h = {h}, d = {d}: {detail} [u_a certificate: {cert}]")
+    name, certificate = "quadratic-form", "; ".join(parts) if parts else "hypotheses not met"
+    if "refuted" in outcomes:
+        return CriterionResult(name, True, "Obstructs", certificate, rho_lower=rho, dga_lower=2)
+    if parts and "inconclusive" not in outcomes:
+        return CriterionResult(name, True, "NoObstruction", certificate)
+    return CriterionResult(name, bool(parts), "Inconclusive", certificate)
+
+
+def _cc_bar_witness(
+    s1: _Side, s2: _Side, bounds: SearchBounds, quad: CriterionResult
+) -> CriterionResult:
+    """Hypotheses: distinct polynomials and a side with a certified u_a = 1.
+    Searches a finite window for c with +-Delta' - c bar(c) a multiple of that
+    side's Delta; a witness shows the criterion cannot obstruct.  It certifies
+    no bound of its own: it obstructs only when the quadratic-form criterion
+    (``quad``) already did."""
+    name = "cc-bar-witness"
+    sides = [s for s in (s1, s2) if s.ua_one_certificate is not None]
+    if not sides or s1.delta == s2.delta:
+        needs = "requires distinct polynomials and a certified u_a = 1 side"
+        return CriterionResult(name, False, "Inconclusive", needs)
+    if quad.verdict == "Obstructs":
+        implied = "no witness exists: implied by the quadratic-form refutation"
+        return CriterionResult(name, True, "Obstructs", implied)
+    side = sides[0]
+    other = s2 if side is s1 else s1
+    max_breadth, max_coeff = bounds.cc_max_breadth, bounds.cc_max_coeff
+    witness = cc_bar_witness_search(side.delta, other.delta, max_breadth, max_coeff)
+    if witness is None:
+        window = f"breadth <= {max_breadth}, coefficients <= {max_coeff}"
+        return CriterionResult(name, True, "Inconclusive", f"no witness with {window}")
+    c, sign = witness.c, witness.sign
+    assert is_multiple(sign * other.delta - c * c.bar(), side.delta)
+    found = f"mod {side.label}: c = {c}, sign = {sign:+d}"
+    return CriterionResult(name, True, "NoObstruction", found)
+
+
+def _murakami(s1: _Side, s2: _Side) -> CriterionResult:
+    """Hypothesis: odd positive knot determinants on both sides.  No d with
+    4d^2 = +-(D1 - D2) mod 2 D1 gives dg >= 2."""
+    if s1.det % 2 == 0 or s2.det % 2 == 0:
+        needs = "requires odd positive determinants on both sides"
+        return CriterionResult("murakami", False, "Inconclusive", needs)
+    mur = murakami_obstruction(s1.det, s2.det)
+    relation = f"4d^2 = +-({s1.det} - {s2.det}) mod {2 * s1.det}"
+    if mur.obstructs:
+        none = f"no d with {relation}; unknotting number one with distance one is impossible"
+        return CriterionResult("murakami", True, "Obstructs", none, dg_lower=2)
+    found = f"d = {mur.witness} satisfies {relation}"
+    return CriterionResult("murakami", True, "NoObstruction", found)
+
+
+def _signature(s1: _Side, s2: _Side) -> CriterionResult:
+    """Hypothesis: both sides are matrices.  Gives dg >= |sigma1 - sigma2| / 2,
+    and dga >= 1 when the polynomials are equal but the signatures differ."""
+    if s1.sigma is None or s2.sigma is None:
+        return CriterionResult("signature", False, "Inconclusive", "signatures unknown")
+    value = signature_bound(s1.sigma, s2.sigma)
+    return CriterionResult(
+        "signature",
+        True,
+        "Obstructs" if value else "NoObstruction",
+        f"|{s1.sigma} - {s2.sigma}| / 2 = {value}",
+        dga_lower=1 if value and s1.delta == s2.delta else 0,
+        dg_lower=value,
+    )
 
 
 def build_report(
@@ -371,201 +488,21 @@ def build_report(
     label1: str | None = None,
     label2: str | None = None,
 ) -> ObstructionReport:
-    """Run every applicable criterion on the pair and aggregate the bounds."""
+    """Run every criterion on the pair and aggregate the bounds they certify."""
     bounds = bounds or SearchBounds()
     for ua in (ua1, ua2):
         if ua is not None and ua < 0:
             raise ValueError("u_a values must be nonnegative")
-    s1 = _make_side(input1, ua1, label1 or "input1")
-    s2 = _make_side(input2, ua2, label2 or "input2")
-    s1 = replace(s1, label=label1 or str(s1.delta))
-    s2 = replace(s2, label=label2 or str(s2.delta))
-    equal = s1.delta == s2.delta
-    same_matrix = (
-        s1.matrix is not None and s2.matrix is not None and s1.matrix == s2.matrix
-    )
+    s1, s2 = _make_side(input1, ua1, label1), _make_side(input2, ua2, label2)
+    alex, parity = _alexander_distance(s1, s2), _parity(s1, s2)
+    quad = _quadratic_form(s1, s2, bounds)
+    cc_bar = _cc_bar_witness(s1, s2, bounds, quad)
+    criteria = (alex, parity, quad, cc_bar, _murakami(s1, s2), _signature(s1, s2))
+    rho_lower = max(c.rho_lower for c in criteria)
+    dga_lower = max(rho_lower, *(c.dga_lower for c in criteria))
+    dg_lower = max(dga_lower, *(c.dg_lower for c in criteria))
 
-    criteria = []
-
-    # distinct Alexander polynomials already force distance at least one
-    criteria.append(
-        CriterionResult(
-            "alexander-distance",
-            True,
-            "Obstructs" if not equal else "NoObstruction",
-            "Alexander polynomials differ" if not equal else "Alexander polynomials are equal",
-        )
-    )
-
-    # residue parity test, modulus t + t^-1 - 1
-    parity_fired = False
-    parity_parts = []
-    for mod_side, other in ((s1, s2), (s2, s1)):
-        if mod_side.delta == TREFOIL_DELTA and not equal:
-            res = parity_criterion(other.delta)
-            if res.obstructs:
-                parity_fired = True
-                parity_parts.append(
-                    f"mod {mod_side.label}: remainder = {res.remainder} = 2 + 4*({res.m}), m = {res.m}"
-                )
-            else:
-                parity_parts.append(
-                    f"mod {mod_side.label}: remainder = {res.remainder} is not 2 mod 4"
-                )
-    parity_applicable = bool(parity_parts)
-    criteria.append(
-        CriterionResult(
-            "parity",
-            parity_applicable,
-            "Obstructs" if parity_fired else ("NoObstruction" if parity_applicable else "Inconclusive"),
-            "; ".join(parity_parts)
-            if parity_parts
-            else "requires distinct polynomials, one equal to t+t^-1-1",
-        )
-    )
-
-    # quadratic form route, both directions
-    routes = []
-    if not equal:
-        for mod_side, other in ((s1, s2), (s2, s1)):
-            row = _quadform_row(mod_side, other, bounds)
-            if row is not None:
-                routes.append(row)
-    quad_applicable = bool(routes)
-    quad_obstructs = any(r["verdict"].outcome == "refuted" for r in routes)
-    quad_inconclusive = any(r["verdict"].outcome == "inconclusive" for r in routes)
-    quad_parts = []
-    for r in routes:
-        v = r["verdict"]
-        if v.outcome == "refuted":
-            detail = "no integer solution (exhaustive box)"
-        elif v.outcome == "witness":
-            detail = f"witness x = {v.x}, y = {v.y} gives {v.sign * r['d']}"
-        else:
-            detail = f"inconclusive up to |x| <= {v.searched_bound}"
-        quad_parts.append(
-            f"mod {r['mod']}: h = {r['h']}, d = {r['d']}: {detail} [u_a certificate: {r['ua_cert']}]"
-        )
-    if quad_obstructs:
-        quad_verdict = "Obstructs"
-    elif quad_applicable and not quad_inconclusive:
-        quad_verdict = "NoObstruction"
-    else:
-        quad_verdict = "Inconclusive"
-    criteria.append(
-        CriterionResult(
-            "quadratic-form",
-            quad_applicable,
-            quad_verdict,
-            "; ".join(quad_parts) if quad_parts else "hypotheses not met",
-        )
-    )
-
-    # bounded witness search for the product c bar(c)
-    cc_sides = [s for s in (s1, s2) if s.ua_one_certificate is not None]
-    cc_applicable = bool(cc_sides) and not equal
-    if not cc_applicable:
-        criteria.append(
-            CriterionResult(
-                "cc-bar-witness",
-                False,
-                "Inconclusive",
-                "requires distinct polynomials and a certified u_a = 1 side",
-            )
-        )
-    elif quad_obstructs:
-        criteria.append(
-            CriterionResult(
-                "cc-bar-witness",
-                True,
-                "Obstructs",
-                "no witness exists: implied by the quadratic-form refutation",
-            )
-        )
-    else:
-        side = cc_sides[0]
-        other = s2 if side is s1 else s1
-        witness = cc_bar_witness_search(
-            side.delta, other.delta, bounds.cc_max_breadth, bounds.cc_max_coeff
-        )
-        if witness is not None:
-            assert is_multiple(witness.sign * other.delta - witness.c * witness.c.bar(), side.delta)
-            criteria.append(
-                CriterionResult(
-                    "cc-bar-witness",
-                    True,
-                    "NoObstruction",
-                    f"mod {side.label}: c = {witness.c}, sign = {witness.sign:+d}",
-                )
-            )
-        else:
-            criteria.append(
-                CriterionResult(
-                    "cc-bar-witness",
-                    True,
-                    "Inconclusive",
-                    f"no witness with breadth <= {bounds.cc_max_breadth}, "
-                    f"coefficients <= {bounds.cc_max_coeff}",
-                )
-            )
-
-    # double branched cover condition on determinants
-    mur = None
-    if s1.det > 0 and s2.det > 0 and s1.det % 2 == 1 and s2.det % 2 == 1:
-        mur = murakami_obstruction(s1.det, s2.det)
-        criteria.append(
-            CriterionResult(
-                "murakami",
-                True,
-                "Obstructs" if mur.obstructs else "NoObstruction",
-                (
-                    f"no d with 4d^2 = +-({s1.det} - {s2.det}) mod {2 * s1.det}; "
-                    "unknotting number one with distance one is impossible"
-                )
-                if mur.obstructs
-                else f"d = {mur.witness} satisfies 4d^2 = +-({s1.det} - {s2.det}) mod {2 * s1.det}",
-            )
-        )
-    else:
-        criteria.append(
-            CriterionResult(
-                "murakami",
-                False,
-                "Inconclusive",
-                "requires odd positive determinants on both sides",
-            )
-        )
-
-    # signature bound, needs both matrices
-    sig_applicable = s1.sigma is not None and s2.sigma is not None
-    sig_value = signature_bound(s1.sigma, s2.sigma) if sig_applicable else 0
-    criteria.append(
-        CriterionResult(
-            "signature",
-            sig_applicable,
-            ("Obstructs" if sig_value >= 1 else "NoObstruction") if sig_applicable else "Inconclusive",
-            f"|{s1.sigma} - {s2.sigma}| / 2 = {sig_value}" if sig_applicable else "signatures unknown",
-        )
-    )
-
-    # aggregation
-    if equal:
-        rho_lower = rho_upper = 0
-    else:
-        rho_lower, rho_upper = 1, 2
-        if parity_fired:
-            rho_lower = 2
-        for r in routes:
-            if r["verdict"].outcome == "refuted" and r["h"] in SMALL_H:
-                rho_lower = 2
-
-    dga_lower = rho_lower
-    if not equal and quad_obstructs:
-        dga_lower = max(dga_lower, 2)
-    if equal and sig_applicable and s1.sigma != s2.sigma:
-        dga_lower = max(dga_lower, 1)
-
-    if same_matrix:
+    if s1.matrix is not None and s1.matrix == s2.matrix:
         dga_upper = 0
     elif ua1 is not None and ua2 is not None:
         dga_upper = ua1 + ua2
@@ -576,16 +513,7 @@ def build_report(
             f"supplied u_a values give the upper bound {dga_upper}, "
             f"contradicting the certified lower bound {dga_lower}"
         )
-
-    dg_lower = max(dga_lower, sig_value, 2 if mur is not None and mur.obstructs else 0)
-
+    rho_upper = 0 if s1.delta == s2.delta else 2
     return ObstructionReport(
-        s1.label,
-        s2.label,
-        tuple(criteria),
-        rho_lower,
-        rho_upper,
-        dga_lower,
-        dga_upper,
-        dg_lower,
+        s1.label, s2.label, criteria, rho_lower, rho_upper, dga_lower, dga_upper, dg_lower
     )

@@ -22,10 +22,6 @@ class InvalidMatrixError(ValueError):
     """The entries do not form a Seifert matrix."""
 
 
-class NotDefiniteError(ValueError):
-    """The symmetrised matrix is not positive or negative definite."""
-
-
 def det_int(rows) -> int:
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
     return _bareiss([list(map(int, row)) for row in rows])
@@ -375,6 +371,16 @@ def knot_determinant(V: SeifertMatrix) -> int:
     return d
 
 
+def check_alexander(delta: LaurentPoly) -> LaurentPoly:
+    """Return delta if it is a normalised Alexander polynomial, symmetric under
+    t -> 1/t with value 1 at t = 1; raise ValueError otherwise."""
+    if not delta.is_bar_symmetric():
+        raise ValueError(f"Alexander polynomial must be symmetric under t -> 1/t, got {delta}")
+    if delta.evaluate(1) != 1:
+        raise ValueError(f"Alexander polynomial must evaluate to 1 at t = 1, got {delta}")
+    return delta
+
+
 @dataclass(frozen=True)
 class KnotInvariants:
     """The classical triple used by every criterion in the battery."""
@@ -384,10 +390,7 @@ class KnotInvariants:
     determinant: int
 
     def __post_init__(self):
-        if not self.alexander.is_bar_symmetric():
-            raise ValueError("Alexander polynomial must be symmetric under t -> 1/t")
-        if self.alexander.evaluate(1) != 1:
-            raise ValueError("Alexander polynomial must evaluate to 1 at t = 1")
+        check_alexander(self.alexander)
         if self.determinant != abs(self.alexander.evaluate(-1)):
             raise ValueError("determinant must equal |Delta(-1)|")
         if self.signature % 2:
@@ -475,59 +478,6 @@ def unknotting_border(
     if variant.startswith("a"):
         return _bordered([eps, 0], [s], x, M, N, W)
     return _bordered([eps, s], [0], x, M, N, W)
-
-
-# -- definite 2x2 normal form ---------------------------------------------------
-
-
-def _apply_congruence(T, U):
-    return mat_mul(mat_mul(T, U), transpose(T))
-
-
-def definite_normal_form(V: SeifertMatrix):
-    """Reduce a definite 2x2 Seifert matrix to its Gauss normal form.
-
-    Returns (normal, P, sign) with P (sign*V) P^T = [[a, b+1], [b, c]] and
-    0 < 2b + 1 <= min(a, c).  Raises NotDefiniteError when V + V^T is
-    indefinite.
-    """
-    if V.size != 2:
-        raise ValueError("normal form is defined for 2x2 matrices only")
-    sym = _symmetrised(V)
-    if det_int(sym) <= 0:
-        raise NotDefiniteError("V + V^T is not definite")
-    s = 1 if sym[0][0] > 0 else -1
-    cur = [[s * V[i][j] for j in range(2)] for i in range(2)]
-    P = [[1, 0], [0, 1]]
-
-    def apply(T):
-        nonlocal cur, P
-        cur = _apply_congruence(T, cur)
-        P = mat_mul(T, P)
-
-    while True:
-        A, C = cur[0][0], cur[1][1]
-        B = cur[0][1] + cur[1][0]
-        if abs(B) > A:
-            # unique k with B + 2kA in (-A, A]
-            k = (A - B) // (2 * A)
-            apply([[1, 0], [k, 1]])
-        elif A > C:
-            apply([[0, 1], [1, 0]])
-        else:
-            break
-    if cur[0][1] + cur[1][0] < 0:
-        apply([[1, 0], [0, -1]])
-    if cur[0][1] - cur[1][0] == -1:
-        apply([[0, 1], [1, 0]])
-
-    a, c = cur[0][0], cur[1][1]
-    b = cur[1][0]
-    assert cur[0][1] == b + 1
-    assert 0 < 2 * b + 1 <= min(a, c)
-    expected = _apply_congruence(P, [[s * V[i][j] for j in range(2)] for i in range(2)])
-    assert expected == cur
-    return SeifertMatrix(cur), P, s
 
 
 # -- algebraic unknotting number certificates -----------------------------------

@@ -102,8 +102,43 @@ class TestQuadform:
         code, _, err = run(capsys, ["quadform", "0", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize("bound", ["-3", "0"])
+    def test_bound_below_one_is_a_usage_error(self, bound):
+        argv = ["quadform", "-1", "2", "--bound", bound]
+        code, out, err = cli_equivalence.outcome(argv)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: argument --bound: must be at least 1, got {bound}\n"
+        assert cli_equivalence.outcome(argv, full=True) == (code, out, err)
+
 
 class TestObstruct:
+    @pytest.mark.parametrize("bound", ["-1", "0"])
+    def test_bound_below_one_is_a_usage_error(self, bound):
+        argv = ["obstruct", "--delta1", "4t-7+4t^-1", "--delta2", "-4t+9-4t^-1", "--ua1", "1"]
+        argv += ["--bound", bound]
+        code, out, err = cli_equivalence.outcome(argv)
+        assert (code, out) == (1, "")
+        assert "--bound: must be at least 1" in err
+        assert cli_equivalence.outcome(argv, full=True) == (code, out, err)
+
+    @pytest.mark.parametrize(
+        "delta, complaint",
+        [("2", "evaluate to 1 at t = 1"), ("t^2-t+1", "symmetric"), ("-t+1-t^-1", "evaluate to 1")],
+    )
+    def test_non_alexander_polynomial_rejected(self, capsys, tmp_path, delta, complaint):
+        for argv in (
+            ["obstruct", "--delta1", delta, "--delta2", "t-1+t^-1"],
+            ["obstruct", "--delta1", "t-1+t^-1", "--delta2", delta],
+        ):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: Alexander polynomial must") and complaint in err
+        manifest = tmp_path / "pairs.txt"
+        manifest.write_text(f"t-1+t^-1 | {delta}\n")
+        code, _, err = run(capsys, ["obstruct", "--manifest", str(manifest)])
+        assert code == 2
+        assert err.startswith("error: Alexander polynomial must") and complaint in err
+
     def test_bundled_pair(self, capsys):
         code, out, _ = run(
             capsys,
@@ -323,13 +358,19 @@ class TestParsers:
             options = [a for a in parser._actions if a.option_strings and a.nargs != 0]
             required = [a for a in options if a.required]
             for action in options:
-                value, expected = ("-3", -3) if action.type is int else ("-t+3-t^-1", "-t+3-t^-1")
+                numeric = action.type in (int, cli._search_bound)
+                value, expected = ("-3", -3) if numeric else ("-t+3-t^-1", "-t+3-t^-1")
                 argv = [name, *positionals.get(name, [])]
                 for other in required:
                     if other is not action:
                         argv += [other.option_strings[0], "x"]
                 argv += [action.option_strings[0], value]
                 parser, rest = cli._parser_for(cli._merge_option_values(argv))
+                if action.type is cli._search_bound:
+                    # the value reaches the option's type, which refuses it
+                    with pytest.raises(cli.UsageError, match="must be at least 1, got -3"):
+                        parser.parse_args(rest)
+                    continue
                 args = parser.parse_args(rest)
                 assert getattr(args, action.dest) == expected, argv
 

@@ -118,10 +118,6 @@ class TestArithmetic:
     def test_int_coercion(self):
         assert 2 * P("t") - 1 == P("2t-1")
 
-    def test_pow(self):
-        assert P("t-1") ** 2 == P("t^2-2t+1")
-        assert P("t-1") ** 0 == L.one()
-
 
 class TestBar:
     def test_exponent_negation(self):

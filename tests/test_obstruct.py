@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gordian import obstruct
 from gordian.laurent import LaurentPoly, divmod_rational, is_multiple
 from gordian.seifert import SeifertMatrix, h_form
 from gordian.obstruct import (
@@ -17,6 +18,7 @@ from gordian.obstruct import (
     signature_bound,
 )
 from gordian.verify import quadform_oracle_values
+from test_report_text import SMALL, both_orders, corpus
 
 P = LaurentPoly.parse
 
@@ -337,3 +339,59 @@ class TestBuildReport:
             bounds=SearchBounds(cc_max_breadth=1, cc_max_coeff=2),
         )
         assert report.rho_lower >= 1
+
+
+def _corpus_reports():
+    """Every report of the pinned-text corpus, both argument orders, less
+    the pairs whose supplied u_a values contradict the certified bounds."""
+    reports = []
+    for _, _, (x, y, u1, u2, _, _) in both_orders(corpus()):
+        try:
+            reports.append(build_report(x, y, ua1=u1, ua2=u2, bounds=SMALL))
+        except ValueError:
+            pass
+    return reports
+
+
+class TestCriteria:
+    NAMES = ("alexander-distance", "parity", "quadratic-form", "cc-bar-witness", "murakami", "signature")
+    HELPERS = (
+        "parity_criterion",
+        "constant_residue",
+        "quadform_represents",
+        "cc_bar_witness_search",
+        "murakami_obstruction",
+    )
+
+    def test_bounds_are_the_max_of_the_criteria_under_the_chain(self):
+        reports = _corpus_reports()
+        assert len(reports) > 100
+        for report in reports:
+            assert tuple(c.name for c in report.criteria) == self.NAMES
+            rho = max(c.rho_lower for c in report.criteria)
+            dga = max([rho] + [c.dga_lower for c in report.criteria])
+            dg = max([dga] + [c.dg_lower for c in report.criteria])
+            assert (report.rho_lower, report.dga_lower, report.dg_lower) == (rho, dga, dg)
+
+    def test_a_criterion_that_certifies_a_bound_obstructs(self):
+        raised = 0
+        for report in _corpus_reports():
+            for c in report.criteria:
+                if c.rho_lower or c.dga_lower or c.dg_lower:
+                    raised += 1
+                    assert c.applicable and c.verdict == "Obstructs", c
+        assert raised
+
+    def test_helpers_are_called_through_module_globals(self, monkeypatch):
+        # a tracer measures each helper by rebinding its name in gordian.obstruct
+        counts = dict.fromkeys(self.HELPERS, 0)
+        for name in self.HELPERS:
+            original = getattr(obstruct, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(obstruct, name, counting)
+        _corpus_reports()
+        assert all(counts.values()), counts

@@ -8,11 +8,9 @@ from gordian.seifert import (
     BORDER_VARIANTS,
     InvalidMatrixError,
     KnotInvariants,
-    NotDefiniteError,
     SeifertMatrix,
     alexander,
     congruent_transform,
-    definite_normal_form,
     det_int,
     det_laurent,
     enlarge,
@@ -425,40 +423,6 @@ class TestBorderDeterminantIdentity:
             )
             rhs = LaurentPoly({0: eps, 1: -eps}) * det_laurent(block) + LaurentPoly.monomial(1) * inner_det
             assert lhs == rhs
-
-
-class TestDefiniteNormalForm:
-    def test_negative_definite(self):
-        normal, Q, s = definite_normal_form(TREFOIL)
-        assert s == -1
-        assert normal.rows == ((1, 1), (0, 1))
-
-    def test_swap_case(self):
-        normal, Q, s = definite_normal_form(SeifertMatrix([[1, 0], [1, 1]]))
-        assert s == 1
-        assert normal.rows == ((1, 1), (0, 1))
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(NotDefiniteError):
-            definite_normal_form(FIG8)
-
-    def test_random_reduction(self):
-        rng = random.Random(79)
-        found = 0
-        while found < 60:
-            V = random_seifert(rng, 2, bound=4)
-            sym = [[V[i][j] + V[j][i] for j in range(2)] for i in range(2)]
-            if det_int(sym) <= 0:
-                continue
-            found += 1
-            normal, Q, s = definite_normal_form(V)
-            a, c = normal[0][0], normal[1][1]
-            b = normal[1][0]
-            assert normal[0][1] == b + 1
-            assert 0 < 2 * b + 1 <= min(a, c)
-            sv = [[s * V[i][j] for j in range(2)] for i in range(2)]
-            assert mat_mul(mat_mul(Q, sv), transpose(Q)) == [list(r) for r in normal.rows]
-            assert det_int(Q) in (1, -1)
 
 
 class TestUaIsOne:
