@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .laurent import LaurentPoly, divmod_rational, is_multiple
+from .numtheory import Undecided, factorize, is_prime, jacobi, pell_unit, smallest_square_root
 from .seifert import (
     SMALL_H,
     SeifertMatrix,
@@ -61,48 +62,90 @@ def form_value(h: int, x: int, y: int) -> int:
     return h * h * x * x + (2 * h - 1) * x * y + y * y
 
 
+def _y_solutions(h: int, d: int, x: int):
+    """The (y, s) with h^2 x^2 + (2h-1) xy + y^2 = s d for s = +-1, solved
+    exactly from the discriminant (1-4h) x^2 + 4sd of the quadratic in y:
+    s = 1 before s = -1, and the root with +sqrt first."""
+    out = []
+    for s in (1, -1):
+        disc = (1 - 4 * h) * x * x + 4 * s * d
+        if disc < 0:
+            continue
+        root = isqrt(disc)
+        if root * root != disc:
+            continue
+        for pm in (root, -root) if root else (0,):
+            num = -(2 * h - 1) * x + pm
+            if num % 2 == 0:
+                out.append((num // 2, s))
+    return out
+
+
+def _signed_rank(y: int) -> int:
+    """Position of y in the order 0, 1, -1, 2, -2, ... of ``_signed_range``."""
+    return 2 * abs(y) - (y > 0)
+
+
+def _nagell_bound(h: int, d: int, bound: int) -> int:
+    """An X <= bound such that, for h <= -1, the form takes the value +-d
+    with some |x| <= bound only if it does with some |x| <= X.
+
+    With u = 2y + (2h-1)x and D = 1 - 4h, 4 q(x, y) = u^2 - D x^2, so the
+    solutions are those of u^2 - D x^2 = +-4d with u = x mod 2.  Multiplying
+    by an integer unit of x^2 - D y^2 = 1 keeps that parity (D is odd), and
+    by Nagell's theorem (Introduction to Number Theory, section 58) every
+    class of solutions of u^2 - D x^2 = N has a member with
+    |x| <= y1 sqrt(|N|) / sqrt(2 (x1 - 1)), (x1, y1) the unit.  When D = k^2
+    the form factors, (u - kx)(u + kx) = N, and |x| <= (|N| + 1) / (2k).
+    """
+    D, n = 1 - 4 * h, 4 * abs(d)
+    k = isqrt(D)
+    if k * k == D:
+        return min(bound, 2 * abs(d) + 1)
+    # past y1 > bound^2 (isqrt(D) + 1), Nagell's bound is at least ``bound``
+    unit = pell_unit(D, q_limit=bound * bound * (k + 1))
+    if unit is None:
+        return bound
+    x1, y1 = unit
+    square = -(-y1 * y1 * n // (2 * (x1 - 1)))  # ceil(y1^2 |N| / (2 (x1 - 1)))
+    root = isqrt(square)
+    return min(bound, root + (root * root < square))
+
+
 def quadform_represents(h: int, d: int, bound: int = 10_000) -> QuadFormVerdict:
     """Decide whether h^2 x^2 + (2h-1) xy + y^2 takes the value d or -d.
 
-    For h >= 1 the form is positive definite (discriminant 1 - 4h < 0) and
-    the search box below is provably exhaustive: completing the square gives
+    Both branches solve for y exactly per x (``_y_solutions``).  For h >= 1
+    the form is positive definite (discriminant 1 - 4h < 0) and completing
+    the square gives
 
         4 q = (2y + (2h-1)x)^2 + (4h-1) x^2
         4 h^2 q = (2 h^2 x + (2h-1)y)^2 + (4h-1) y^2
 
-    so any solution of |q| <= |d| has (4h-1) x^2 <= 4|d| and
-    (4h-1) y^2 <= 4 h^2 |d|.  For h <= -1 the form is indefinite; all
-    solutions with |x| <= bound are checked (y is solved exactly per x) and
-    the outcome is inconclusive when none is found.
+    so every solution of |q| = |d| has (4h-1) x^2 <= 4|d| and
+    (4h-1) y^2 <= 4 h^2 |d|: the search over x is exhaustive, and the
+    witness is the one a scan of that box in ``_signed_range`` order reaches
+    first.  For h <= -1 the form is indefinite; x runs up to the smaller of
+    ``bound`` and Nagell's bound (``_nagell_bound``), and the outcome is
+    inconclusive up to ``bound`` when no solution is found, although below
+    Nagell's bound that also rules out every solution.
     """
     if h == 0:
         raise ValueError("h must be nonzero")
     if d == 0:
         raise ValueError("d must be nonzero")
     if h >= 1:
-        bx = isqrt(4 * abs(d) // (4 * h - 1))
-        by = isqrt(4 * h * h * abs(d) // (4 * h - 1))
-        for x in _signed_range(bx):
-            for y in _signed_range(by):
-                v = form_value(h, x, y)
-                if v == d:
-                    return QuadFormVerdict("witness", x, y, 1)
-                if v == -d:
-                    return QuadFormVerdict("witness", x, y, -1)
+        for x in _signed_range(isqrt(4 * abs(d) // (4 * h - 1))):
+            found = _y_solutions(h, d, x)
+            if found:
+                y, s = min(found, key=lambda ys: _signed_rank(ys[0]))
+                return QuadFormVerdict("witness", x, y, s)
         return QuadFormVerdict("refuted")
-    # indefinite: for each x solve y^2 + (2h-1)x y + (h^2 x^2 - s d) = 0
-    for x in _signed_range(bound):
-        for s in (1, -1):
-            disc = (1 - 4 * h) * x * x + 4 * s * d
-            if disc < 0:
-                continue
-            root = isqrt(disc)
-            if root * root != disc:
-                continue
-            for pm in (root, -root) if root else (0,):
-                num = -(2 * h - 1) * x + pm
-                if num % 2 == 0:
-                    return QuadFormVerdict("witness", x, num // 2, s)
+    for x in _signed_range(_nagell_bound(h, d, bound)):
+        found = _y_solutions(h, d, x)
+        if found:
+            y, s = found[0]
+            return QuadFormVerdict("witness", x, y, s)
     return QuadFormVerdict("inconclusive", searched_bound=bound)
 
 
@@ -193,8 +236,12 @@ def cc_bar_witness_search(
 
 @dataclass(frozen=True)
 class MurakamiVerdict:
+    """``witness`` is the smallest d, None when none exists or when
+    ``undecided`` names the budget that stopped the decision."""
+
     obstructs: bool
     witness: int | None
+    undecided: str | None = None
 
 
 def murakami_obstruction(det1: int, det2: int) -> MurakamiVerdict:
@@ -202,9 +249,15 @@ def murakami_obstruction(det1: int, det2: int) -> MurakamiVerdict:
 
     The fractional statement 2 d^2 / D = +-(D - D') / (2D) (mod 1) is
     cleared of denominators by multiplying through by 2D, leaving
-    4 d^2 = +-(D - D') (mod 2D).  Since only d^2 mod 2D matters, d ranges
-    over one full residue system.  No witness d means a simultaneous
+    4 d^2 = +-(D - D') (mod 2D).  No witness d means a simultaneous
     unknotting number one and distance one is impossible.
+
+    D and D' are odd, so both sides are even and the condition holds
+    exactly when d mod D is a square root of +-(D - D') / 4 mod D, whatever
+    the parity of d: the smallest d in [0, 2D) is the smallest such root.
+    A Jacobi symbol of -1 for both signs refutes without factoring D;
+    otherwise the roots are built from the prime factorisation of D, and a
+    factoring or root budget that runs out leaves the verdict undecided.
     """
     if det1 <= 0 or det2 <= 0:
         raise ValueError("knot determinants must be positive")
@@ -212,10 +265,21 @@ def murakami_obstruction(det1: int, det2: int) -> MurakamiVerdict:
         raise ValueError("knot determinants must be odd")
     mod = 2 * det1
     diff = det1 - det2
-    for d in range(mod):
-        if (4 * d * d - diff) % mod == 0 or (4 * d * d + diff) % mod == 0:
-            return MurakamiVerdict(False, d)
-    return MurakamiVerdict(True, None)
+    quarter = diff * pow(4, -1, det1) % det1
+    targets = [a for a in (quarter, -quarter % det1) if jacobi(a, det1) != -1]
+    if not targets:
+        return MurakamiVerdict(True, None)
+    try:
+        factors = factorize(det1)
+        roots = [smallest_square_root(a, det1, factors) for a in targets]
+    except Undecided as stop:
+        return MurakamiVerdict(False, None, str(stop))
+    roots = [r for r in roots if r is not None]
+    if not roots:
+        return MurakamiVerdict(True, None)
+    d = min(roots)
+    assert (4 * d * d - diff) % mod == 0 or (4 * d * d + diff) % mod == 0
+    return MurakamiVerdict(False, d)
 
 
 def signature_bound(sig1: int, sig2: int) -> int:
@@ -318,16 +382,9 @@ def _h_form_value(delta: LaurentPoly):
 
 
 def _is_prime_or_one(n: int) -> bool:
-    if n == 1:
-        return True
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+    """True for 1 and for primes that Miller-Rabin certifies; a number above
+    its exact limit is not certified, and the route it guards is skipped."""
+    return n == 1 or is_prime(n) is True
 
 
 def _make_side(value, ua, label) -> _Side:
@@ -450,12 +507,15 @@ def _cc_bar_witness(
 
 def _murakami(s1: _Side, s2: _Side) -> CriterionResult:
     """Hypothesis: odd positive knot determinants on both sides.  No d with
-    4d^2 = +-(D1 - D2) mod 2 D1 gives dg >= 2."""
+    4d^2 = +-(D1 - D2) mod 2 D1 gives dg >= 2; a factoring or root budget
+    that runs out gives Inconclusive."""
     if s1.det % 2 == 0 or s2.det % 2 == 0:
         needs = "requires odd positive determinants on both sides"
         return CriterionResult("murakami", False, "Inconclusive", needs)
     mur = murakami_obstruction(s1.det, s2.det)
     relation = f"4d^2 = +-({s1.det} - {s2.det}) mod {2 * s1.det}"
+    if mur.undecided:
+        return CriterionResult("murakami", True, "Inconclusive", f"{relation} undecided: {mur.undecided}")
     if mur.obstructs:
         none = f"no d with {relation}; unknotting number one with distance one is impossible"
         return CriterionResult("murakami", True, "Obstructs", none, dg_lower=2)

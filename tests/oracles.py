@@ -1,11 +1,14 @@
 """Slow, independent reference implementations used only by the tests.
 
-They share no code with the integer pencil core in ``gordian.seifert``:
-determinants by cofactor expansion over the Laurent ring, and the signature
-by congruence diagonalisation over the rationals.
+They share no code with the integer pencil core in ``gordian.seifert`` or
+the number theory in ``gordian.numtheory``: determinants by cofactor
+expansion over the Laurent ring, the signature by congruence
+diagonalisation over the rationals, and the Murakami condition and the
+quadratic form by linear scans.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from gordian.laurent import LaurentPoly
 
@@ -84,3 +87,53 @@ def signature_over_q(V) -> int:
                 for j in range(n):
                     a[j][i] -= f * a[j][k]
     return pos - neg
+
+
+def murakami_by_scan(det1, det2):
+    """(obstructs, smallest witness) for 4 d^2 = +-(det1 - det2) mod 2 det1,
+    trying every d in one full residue system."""
+    mod, diff = 2 * det1, det1 - det2
+    for d in range(mod):
+        if (4 * d * d - diff) % mod == 0 or (4 * d * d + diff) % mod == 0:
+            return False, d
+    return True, None
+
+
+def _signed_range(bound):
+    yield 0
+    for k in range(1, bound + 1):
+        yield k
+        yield -k
+
+
+def quadform_by_box(h, d, bound=10_000):
+    """(outcome, x, y, sign, searched_bound) for h^2 x^2 + (2h-1) xy + y^2 = +-d.
+
+    For h >= 1 every (x, y) of the box that bounds all solutions is tried in
+    the order 0, 1, -1, 2, ...; for h <= -1 each |x| <= bound is tried with y
+    solved from the discriminant, and no solution there is inconclusive.
+    """
+    if h >= 1:
+        bx = isqrt(4 * abs(d) // (4 * h - 1))
+        by = isqrt(4 * h * h * abs(d) // (4 * h - 1))
+        for x in _signed_range(bx):
+            for y in _signed_range(by):
+                v = h * h * x * x + (2 * h - 1) * x * y + y * y
+                if v == d:
+                    return "witness", x, y, 1, None
+                if v == -d:
+                    return "witness", x, y, -1, None
+        return "refuted", None, None, None, None
+    for x in _signed_range(bound):
+        for s in (1, -1):
+            disc = (1 - 4 * h) * x * x + 4 * s * d
+            if disc < 0:
+                continue
+            root = isqrt(disc)
+            if root * root != disc:
+                continue
+            for pm in (root, -root) if root else (0,):
+                num = -(2 * h - 1) * x + pm
+                if num % 2 == 0:
+                    return "witness", x, num // 2, s, None
+    return "inconclusive", None, None, None, bound

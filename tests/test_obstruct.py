@@ -1,8 +1,10 @@
+import dataclasses
 import random
+import time
 
 import pytest
 
-from gordian import obstruct
+from gordian import numtheory, obstruct
 from gordian.laurent import LaurentPoly, divmod_rational, is_multiple
 from gordian.seifert import SeifertMatrix, h_form
 from gordian.obstruct import (
@@ -17,7 +19,8 @@ from gordian.obstruct import (
     quadform_represents,
     signature_bound,
 )
-from gordian.verify import quadform_oracle_values
+from gordian.verify import quadform_oracle_values, random_seifert
+from oracles import murakami_by_scan, quadform_by_box
 from test_report_text import SMALL, both_orders, corpus
 
 P = LaurentPoly.parse
@@ -214,6 +217,118 @@ class TestMurakami:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
             murakami_obstruction(-3, 3)
+
+
+class TestExactDecisions:
+    """The number-theoretic decisions against the linear scans they replace,
+    and the inputs on which those scans ran for minutes or hours."""
+
+    # 8x8, knot determinant 3,779,141,447,373,389, and 10x10, 304,288,733:
+    # there is no d, so a scan over d in [0, 2D) takes 7.6e15 steps
+    BIG = random_seifert(random.Random(0), 8, bound=40)
+    OTHER = random_seifert(random.Random(2), 10)
+
+    def test_murakami_matches_scan(self):
+        for det1 in range(1, 200, 2):
+            for det2 in range(1, 200, 2):
+                mur = murakami_obstruction(det1, det2)
+                assert (mur.obstructs, mur.witness) == murakami_by_scan(det1, det2), (det1, det2)
+
+    def test_indefinite_matches_scan(self):
+        # h = -2, -6 and -12 make 1 - 4h a square
+        for h in range(-1, -21, -1):
+            for d in range(-40, 41):
+                if d:
+                    verdict = quadform_represents(h, d, bound=600)
+                    assert dataclasses.astuple(verdict) == quadform_by_box(h, d, 600), (h, d)
+
+    def test_definite_matches_box(self):
+        for h in range(1, 13):
+            for d in range(-200, 201):
+                if d:
+                    assert dataclasses.astuple(quadform_represents(h, d)) == quadform_by_box(h, d), (h, d)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: murakami_obstruction(obstruct.knot_determinant(TestExactDecisions.BIG), 3),
+            lambda: murakami_obstruction(10**18 + 9, 3),
+            lambda: murakami_obstruction(31127438948794653, 3),
+            lambda: quadform_represents(1, 100000007),
+            lambda: quadform_represents(2, 300000001),
+            lambda: build_report(TestExactDecisions.BIG, TestExactDecisions.OTHER, bounds=SMALL),
+        ],
+        ids=["murakami-8x8", "murakami-prime", "murakami-31e15", "definite-1", "definite-2", "obstruct-8x8"],
+    )
+    def test_worst_cases_finish_in_a_second(self, call):
+        start = time.perf_counter()
+        call()
+        assert time.perf_counter() - start < 1.0
+
+    def test_worst_case_verdicts(self):
+        det = obstruct.knot_determinant(self.BIG)
+        assert det > 10**15
+        assert murakami_obstruction(det, 3).obstructs
+        report = build_report(self.BIG, self.OTHER, bounds=SMALL)
+        assert {c.name: c for c in report.criteria}["murakami"].verdict == "Obstructs"
+        assert report.dg_lower == 2
+        prime = 10**18 + 9
+        mur = murakami_obstruction(prime, 3)
+        assert not mur.obstructs
+        assert any((4 * mur.witness**2 + s * (prime - 3)) % (2 * prime) == 0 for s in (1, -1))
+        assert quadform_represents(1, 100000007).outcome == "refuted"
+        v = quadform_represents(2, 300000001)
+        assert form_value(2, v.x, v.y) == v.sign * 300000001
+
+    def test_indefinite_stops_at_nagell_bound(self):
+        # x^2 - 3xy + y^2 = +-2 has no solution: 2 is inert in Q(sqrt 5)
+        assert obstruct._nagell_bound(-1, 2, 10_000) < 10
+        assert obstruct._nagell_bound(-2, 5, 10_000) == 11  # 1 - 4h = 9
+        v = quadform_represents(-1, 2)
+        assert (v.outcome, v.searched_bound) == ("inconclusive", 10_000)
+
+    def test_factoring_budget_gives_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(numtheory, "FACTOR_STEP_BUDGET", 10)
+        det = 1000003 * 1000033  # a Jacobi symbol of +1, so D must be factored
+        mur = murakami_obstruction(det, 3)
+        assert (mur.obstructs, mur.witness) == (False, None)
+        assert "factoring budget of 10 Pollard-Brent steps" in mur.undecided
+        report = build_report(LaurentPoly.const(det), LaurentPoly.const(3))
+        by_name = {c.name: c for c in report.criteria}
+        murakami = by_name["murakami"]
+        assert (murakami.applicable, murakami.verdict) == (True, "Inconclusive")
+        assert "factoring budget" in murakami.certificate
+        assert murakami.dg_lower == 0
+        assert report.dg_lower == 1
+
+    def test_root_budget_gives_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(numtheory, "ROOT_BUDGET", 2)
+        mur = murakami_obstruction(3 * 5 * 7, 3 * 5 * 7 - 4)  # d^2 = 1 mod 105
+        assert (mur.obstructs, mur.witness) == (False, None)
+        assert "root enumeration budget of 2" in mur.undecided
+
+    def test_jacobi_refutes_without_factoring(self, monkeypatch):
+        def no_factoring(n):
+            raise AssertionError("factorize called")
+
+        monkeypatch.setattr(obstruct, "factorize", no_factoring)
+        # 4d^2 = +-(5 - 7) mod 10 needs d^2 = 2 or 3 mod 5: Jacobi symbols -1
+        assert murakami_obstruction(5, 7).obstructs
+        assert murakami_by_scan(5, 7) == (True, None)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 97, 10**18 + 9, 2**61 - 1])
+    def test_prime_or_one_certified(self, n):
+        assert obstruct._is_prime_or_one(n)
+
+    @pytest.mark.parametrize("n", [0, 4, 3215031751, 3825123056546413051, 10**14 + 33, 2**89 - 1])
+    def test_prime_or_one_refused(self, n):
+        # 2^89 - 1 is prime but above the certified limit
+        assert not obstruct._is_prime_or_one(n)
+
+    def test_prime_or_one_is_fast(self):
+        start = time.perf_counter()
+        assert obstruct._is_prime_or_one(10**14 + 31)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestSignatureBound:
