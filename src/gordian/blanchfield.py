@@ -13,7 +13,7 @@ that matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .laurent import LaurentPoly, is_multiple
@@ -27,16 +27,15 @@ from .seifert import (
 T_MINUS_1 = LaurentPoly({1: 1, 0: -1})
 
 
-@dataclass(frozen=True)
-class TorsionFraction:
+class TorsionFraction(namedtuple("TorsionFraction", ("num", "den"))):
     """A value num/den taken modulo the ring of Laurent polynomials."""
 
-    num: LaurentPoly
-    den: LaurentPoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.den.is_zero:
+    def __new__(cls, num, den):
+        if den.is_zero:
             raise ZeroDivisionError("torsion fraction with zero denominator")
+        return super().__new__(cls, num, den)
 
     def bar(self) -> "TorsionFraction":
         return TorsionFraction(self.num.bar(), self.den.bar())

@@ -84,15 +84,25 @@ def cmd_blanchfield(args, out) -> int:
     return 0
 
 
-def _search_bound(text: str) -> int:
-    """The argparse type of --bound: an integer of at least 1."""
+def _int_at_least(text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
+
+
+def _search_bound(text: str) -> int:
+    """The argparse type of --bound: an integer of at least 1."""
+    return _int_at_least(text, 1)
+
+
+def _iteration_count(text: str) -> int:
+    """The argparse type of --iters: an integer of at least 0.  A negative
+    count would run no case and report a vacuous pass."""
+    return _int_at_least(text, 0)
 
 
 def cmd_quadform(args, out) -> int:
@@ -264,7 +274,7 @@ _COMMANDS = {
         (
             (("--suite",), {"required": True}),
             (("--seed",), {"type": int, "default": 0}),
-            (("--iters",), {"type": int, "default": None}),
+            (("--iters",), {"type": _iteration_count, "default": None}),
         ),
         cmd_verify,
     ),

@@ -12,7 +12,7 @@ on every report it emits.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 from .laurent import LaurentPoly, divmod_rational, is_multiple
@@ -33,22 +33,31 @@ TREFOIL_DELTA = h_form(1)
 # -- binary quadratic form -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadFormVerdict:
+class QuadFormVerdict(
+    namedtuple(
+        "QuadFormVerdict",
+        (
+            "outcome",  # "witness" | "refuted" | "inconclusive"
+            "x",
+            "y",
+            "sign",
+            "searched_bound",
+        ),
+        defaults=(None, None, None, None),
+    )
+):
     """Outcome of deciding h^2 x^2 + (2h-1) xy + y^2 = +-d over the integers.
 
     ``witness`` and ``refuted`` are definitive; ``inconclusive`` reports how
     far the indefinite search went.
     """
 
-    outcome: str  # "witness" | "refuted" | "inconclusive"
-    x: int | None = None
-    y: int | None = None
-    sign: int | None = None
-    searched_bound: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         assert self.outcome in ("witness", "refuted", "inconclusive")
+        return self
 
 
 def _signed_range(bound):
@@ -152,13 +161,11 @@ def quadform_represents(h: int, d: int, bound: int = 10_000) -> QuadFormVerdict:
 # -- residue criteria ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParityVerdict:
-    """Whether a polynomial is congruent to 2 + 4m modulo t + t^-1 - 1."""
+class ParityVerdict(namedtuple("ParityVerdict", ("obstructs", "m", "remainder"))):
+    """Whether a polynomial is congruent to 2 + 4m modulo t + t^-1 - 1;
+    ``m`` is None when it is not."""
 
-    obstructs: bool
-    m: int | None
-    remainder: LaurentPoly
+    __slots__ = ()
 
 
 def parity_criterion(delta_prime: LaurentPoly) -> ParityVerdict:
@@ -188,10 +195,8 @@ def constant_residue(delta_prime: LaurentPoly, delta: LaurentPoly):
 # -- bounded witness search for the product c * bar(c) ----------------------------
 
 
-@dataclass(frozen=True)
-class CcBarWitness:
-    c: LaurentPoly
-    sign: int
+class CcBarWitness(namedtuple("CcBarWitness", ("c", "sign"))):
+    __slots__ = ()
 
 
 def _cc_candidates(max_breadth: int, max_coeff: int):
@@ -234,14 +239,13 @@ def cc_bar_witness_search(
 # -- classical criteria -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MurakamiVerdict:
+class MurakamiVerdict(
+    namedtuple("MurakamiVerdict", ("obstructs", "witness", "undecided"), defaults=(None,))
+):
     """``witness`` is the smallest d, None when none exists or when
     ``undecided`` names the budget that stopped the decision."""
 
-    obstructs: bool
-    witness: int | None
-    undecided: str | None = None
+    __slots__ = ()
 
 
 def murakami_obstruction(det1: int, det2: int) -> MurakamiVerdict:
@@ -292,46 +296,64 @@ def signature_bound(sig1: int, sig2: int) -> int:
 # -- aggregated report -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    cc_max_breadth: int = 4
-    cc_max_coeff: int = 8
-    quadform_bound: int = 10_000
+class SearchBounds(
+    namedtuple(
+        "SearchBounds",
+        ("cc_max_breadth", "cc_max_coeff", "quadform_bound"),
+        defaults=(4, 8, 10_000),
+    )
+):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(
+    namedtuple(
+        "CriterionResult",
+        (
+            "name",
+            "applicable",
+            "verdict",  # "Obstructs" | "NoObstruction" | "Inconclusive"
+            "certificate",
+            "rho_lower",
+            "dga_lower",
+            "dg_lower",
+        ),
+        defaults=(0, 0, 0),
+    )
+):
     """One criterion's verdict, its certificate, and the lower bounds on the
     three distances that the verdict certifies (0 when it certifies none)."""
 
-    name: str
-    applicable: bool
-    verdict: str  # "Obstructs" | "NoObstruction" | "Inconclusive"
-    certificate: str
-    rho_lower: int = 0
-    dga_lower: int = 0
-    dg_lower: int = 0
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(
+    namedtuple(
+        "ObstructionReport",
+        (
+            "label1",
+            "label2",
+            "criteria",  # tuple of CriterionResult
+            "rho_lower",
+            "rho_upper",
+            "dga_lower",
+            "dga_upper",  # None when unknown
+            "dg_lower",
+        ),
+    )
+):
     """Per-criterion verdicts plus certified bounds on the three distances."""
 
-    label1: str
-    label2: str
-    criteria: tuple
-    rho_lower: int
-    rho_upper: int
-    dga_lower: int
-    dga_upper: int | None
-    dg_lower: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         assert 0 <= self.rho_lower <= self.rho_upper <= 2
         assert self.dga_lower >= self.rho_lower
         assert self.dg_lower >= self.dga_lower
         if self.dga_upper is not None:
             assert self.dga_upper >= self.dga_lower
+        return self
 
     def format(self) -> str:
         lines = [f"input1: {self.label1}", f"input2: {self.label2}"]
@@ -349,16 +371,22 @@ class ObstructionReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class _Side:
+class _Side(
+    namedtuple(
+        "_Side",
+        (
+            "label",
+            "delta",
+            "matrix",  # None for a polynomial input
+            "sigma",  # None for a polynomial input
+            "det",  # |Delta(-1)|, or 0 when that is not an integer
+            "ua_one_certificate",  # None when u_a = 1 is not certified
+        ),
+    )
+):
     """One input of the pair, normalised."""
 
-    label: str
-    delta: LaurentPoly
-    matrix: SeifertMatrix | None
-    sigma: int | None
-    det: int  # |Delta(-1)|, or 0 when that is not an integer
-    ua_one_certificate: str | None
+    __slots__ = ()
 
 
 def _ua_one_certificate(delta: LaurentPoly, matrix: SeifertMatrix | None, ua: int | None):

@@ -12,7 +12,7 @@ fraction-free symmetric elimination of V + V^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 from .laurent import LaurentPoly, _from_terms
@@ -381,20 +381,18 @@ def check_alexander(delta: LaurentPoly) -> LaurentPoly:
     return delta
 
 
-@dataclass(frozen=True)
-class KnotInvariants:
+class KnotInvariants(namedtuple("KnotInvariants", ("alexander", "signature", "determinant"))):
     """The classical triple used by every criterion in the battery."""
 
-    alexander: LaurentPoly
-    signature: int
-    determinant: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_alexander(self.alexander)
-        if self.determinant != abs(self.alexander.evaluate(-1)):
+    def __new__(cls, alexander, signature, determinant):
+        check_alexander(alexander)
+        if determinant != abs(alexander.evaluate(-1)):
             raise ValueError("determinant must equal |Delta(-1)|")
-        if self.signature % 2:
+        if signature % 2:
             raise ValueError("signature must be even")
+        return super().__new__(cls, alexander, signature, determinant)
 
     @classmethod
     def from_matrix(cls, V: SeifertMatrix) -> "KnotInvariants":
@@ -491,13 +489,11 @@ def h_form(h: int) -> LaurentPoly:
     return LaurentPoly({1: h, -1: h, 0: 1 - 2 * h})
 
 
-@dataclass(frozen=True)
-class UaVerdict:
+class UaVerdict(namedtuple("UaVerdict", ("known_one", "certificate"), defaults=("",))):
     """Outcome of the one-step-from-trivial test: Yes with a certificate,
     or Unknown.  The test is one-sided and never answers No."""
 
-    known_one: bool
-    certificate: str = ""
+    __slots__ = ()
 
     def __bool__(self):
         return self.known_one

@@ -9,18 +9,25 @@ cannot be re-derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .laurent import LaurentPoly
 from .seifert import KnotInvariants, SeifertMatrix
 
 
-@dataclass(frozen=True)
-class BundledEntry:
-    label: str
-    matrix: SeifertMatrix | None
-    invariants: KnotInvariants
-    note: str = ""
+class BundledEntry(
+    namedtuple(
+        "BundledEntry",
+        (
+            "label",
+            "matrix",  # None when no matrix is bundled
+            "invariants",
+            "note",
+        ),
+        defaults=("",),
+    )
+):
+    __slots__ = ()
 
 
 _RAW = (

@@ -8,7 +8,7 @@ the failure persists, then dumped in the suite result.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .laurent import LaurentPoly
 from .seifert import (
@@ -26,13 +26,14 @@ from .blanchfield import border_self_pairing_check, fractions_equal, pairing
 from .obstruct import form_value, quadform_represents
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    seed: int
-    iterations: int
-    failures: int
-    counterexample: str | None = None
+class SuiteResult(
+    namedtuple(
+        "SuiteResult",
+        ("name", "seed", "iterations", "failures", "counterexample"),
+        defaults=(None,),
+    )
+):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -235,6 +235,19 @@ class TestVerify:
         _, second, _ = run(capsys, argv)
         assert first == second
 
+    @pytest.mark.parametrize("iters", ["-5", "-1"])
+    def test_negative_iters_is_a_usage_error(self, iters):
+        argv = ["verify", "--suite", "eq5", "--iters", iters]
+        code, out, err = cli_equivalence.outcome(argv)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: argument --iters: must be at least 0, got {iters}\n"
+        assert cli_equivalence.outcome(argv, full=True) == (code, out, err)
+
+    def test_zero_iters_runs(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--suite", "eq5", "--iters", "0"])
+        assert code == 0
+        assert "iterations: 0" in out
+
 
 class TestTable:
     def test_list(self, capsys):
@@ -353,12 +366,16 @@ class TestParsers:
 
     def test_every_option_takes_a_value_starting_with_minus(self):
         positionals = {"quadform": ["1", "3"], "table": ["list"]}
+        refused = {
+            cli._search_bound: "must be at least 1",
+            cli._iteration_count: "must be at least 0",
+        }
         for name in cli._COMMANDS:
             parser, _ = cli._parser_for([name])
             options = [a for a in parser._actions if a.option_strings and a.nargs != 0]
             required = [a for a in options if a.required]
             for action in options:
-                numeric = action.type in (int, cli._search_bound)
+                numeric = action.type is int or action.type in refused
                 value, expected = ("-3", -3) if numeric else ("-t+3-t^-1", "-t+3-t^-1")
                 argv = [name, *positionals.get(name, [])]
                 for other in required:
@@ -366,9 +383,9 @@ class TestParsers:
                         argv += [other.option_strings[0], "x"]
                 argv += [action.option_strings[0], value]
                 parser, rest = cli._parser_for(cli._merge_option_values(argv))
-                if action.type is cli._search_bound:
+                if action.type in refused:
                     # the value reaches the option's type, which refuses it
-                    with pytest.raises(cli.UsageError, match="must be at least 1, got -3"):
+                    with pytest.raises(cli.UsageError, match=f"{refused[action.type]}, got -3"):
                         parser.parse_args(rest)
                     continue
                 args = parser.parse_args(rest)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 
@@ -240,13 +239,13 @@ class TestExactDecisions:
             for d in range(-40, 41):
                 if d:
                     verdict = quadform_represents(h, d, bound=600)
-                    assert dataclasses.astuple(verdict) == quadform_by_box(h, d, 600), (h, d)
+                    assert tuple(verdict) == quadform_by_box(h, d, 600), (h, d)
 
     def test_definite_matches_box(self):
         for h in range(1, 13):
             for d in range(-200, 201):
                 if d:
-                    assert dataclasses.astuple(quadform_represents(h, d)) == quadform_by_box(h, d), (h, d)
+                    assert tuple(quadform_represents(h, d)) == quadform_by_box(h, d), (h, d)
 
     @pytest.mark.parametrize(
         "call",
