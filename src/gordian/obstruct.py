@@ -59,6 +59,11 @@ class QuadFormVerdict(
         assert self.outcome in ("witness", "refuted", "inconclusive")
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: run the checks of __new__ there too
+        return cls(*iterable)
+
 
 def _signed_range(bound):
     yield 0
@@ -355,6 +360,11 @@ class ObstructionReport(
             assert self.dga_upper >= self.dga_lower
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: run the checks of __new__ there too
+        return cls(*iterable)
+
     def format(self) -> str:
         lines = [f"input1: {self.label1}", f"input2: {self.label2}"]
         for c in self.criteria:
@@ -393,7 +403,7 @@ def _ua_one_certificate(delta: LaurentPoly, matrix: SeifertMatrix | None, ua: in
     if ua == 1:
         return "user supplied u_a = 1"
     if matrix is not None:
-        verdict = ua_is_one(matrix, delta)
+        verdict = ua_is_one(matrix)
         if verdict:
             return verdict.certificate
     h = _h_form_value(delta)

@@ -8,12 +8,18 @@ taken once, at t = X for a power of two X above twice the Hadamard bound on
 its coefficients, and the coefficients are read off as the signed base-X
 digits of the result (Kronecker substitution); and the signature comes from
 fraction-free symmetric elimination of V + V^T.
+
+Each matrix is eliminated once: the constructor takes det(tV - V^T) by one
+Kronecker substitution, checks that its coefficients sum to det(V - V^T) = 1,
+and keeps the Alexander polynomial it gives.  The Alexander polynomial and
+the knot determinant |Delta(-1)| are then read from that polynomial.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from math import isqrt
+from operator import mul
 
 from .laurent import LaurentPoly, _from_terms
 
@@ -57,12 +63,8 @@ def _bareiss(a) -> int:
 
 def mat_mul(a, b):
     """Product of two integer matrices given as row lists."""
-    n, m = len(a), len(b[0]) if b else 0
-    inner = len(b)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(m)]
-        for i in range(n)
-    ]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def transpose(rows):
@@ -73,10 +75,11 @@ class SeifertMatrix:
     """An even-size integer matrix V with det(V - V^T) = 1.
 
     Instances are immutable; constructing one validates both conditions and
-    raises InvalidMatrixError naming the violated invariant otherwise.
+    raises InvalidMatrixError naming the violated invariant otherwise.  The
+    Alexander polynomial found while validating is kept for alexander().
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_delta")
 
     def __init__(self, entries):
         rows = tuple(tuple(map(int, row)) for row in entries)
@@ -86,10 +89,19 @@ class SeifertMatrix:
                 raise InvalidMatrixError("matrix must be square")
         if n % 2:
             raise InvalidMatrixError(f"matrix size must be even, got {n}")
-        d = _bareiss([[a - b for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))])
+        # one Kronecker elimination of the pencil tV - V^T at t = X: its
+        # digits are the coefficients of det(tV - V^T), so they sum to
+        # det(V - V^T) and, shifted by t^(-n/2), give the Alexander polynomial
+        cols = tuple(zip(*rows))
+        norms = [[abs(a) + abs(b) for a, b in zip(row, col)] for row, col in zip(rows, cols)]
+        X = _radix(_hadamard(norms))
+        pencil = [[X * a - b for a, b in zip(row, col)] for row, col in zip(rows, cols)]
+        coeffs = _digits(_bareiss(pencil), X, n + 1)
+        d = sum(coeffs)
         if d != 1:
             raise InvalidMatrixError(f"det(V - V^T) must be 1, got {d}")
         self.rows = rows
+        self._delta = _as_laurent(coeffs, -(n // 2))
 
     @property
     def size(self) -> int:
@@ -139,10 +151,10 @@ def parse_matrix_text(text: str) -> SeifertMatrix:
 # coefficients off as the signed base-X digits of the result.
 
 
-def _radix(norms) -> int:
-    """A power of two X > 2B, where B bounds every coefficient of the
-    determinant, and of every cofactor, of a polynomial matrix whose entry
-    (i, j) has coefficient 1-norm norms[i][j].
+def _hadamard(norms) -> int:
+    """A bound B on every coefficient of the determinant, and of every
+    cofactor, of a polynomial matrix whose entry (i, j) has coefficient
+    1-norm norms[i][j].
 
     A coefficient is at most the largest |det| on the unit circle, where
     each entry is at most its 1-norm.  So Hadamard's inequality gives
@@ -151,8 +163,14 @@ def _radix(norms) -> int:
     """
     product = 1
     for row in norms:
-        product *= sum(x * x for x in row) or 1
-    return 1 << (2 * (isqrt(product) + 1)).bit_length()
+        product *= sum(map(mul, row, row)) or 1
+    return isqrt(product) + 1
+
+
+def _radix(bound: int) -> int:
+    """The power of two X > 2 bound, so that every integer of size at most
+    bound is one signed base-X digit."""
+    return 1 << (2 * bound).bit_length()
 
 
 def _digits(value: int, X: int, count: int):
@@ -199,7 +217,7 @@ def _shifted_rows(rows):
 def _kronecker(dense):
     """The radix X for dense polynomial entries, and the integer matrix of
     the entries at t = X (Horner)."""
-    X = _radix([[sum(map(abs, coeffs)) for coeffs in row] for row in dense])
+    X = _radix(_hadamard([[sum(map(abs, coeffs)) for coeffs in row] for row in dense]))
     out = []
     for row in dense:
         values = []
@@ -309,18 +327,12 @@ def _symmetrised(V: SeifertMatrix):
 def alexander(V: SeifertMatrix) -> LaurentPoly:
     """Alexander polynomial t^-n det(tV - V^T) of a 2n x 2n Seifert matrix.
 
-    The result is symmetric under t -> t^-1 and takes the value 1 at t = 1;
-    both are asserted, a failure means a bug rather than bad input.
+    It is read off the elimination that validated V, so it takes the value
+    det(V - V^T) = 1 at t = 1.  It is symmetric under t -> t^-1; that is
+    asserted, a failure means a bug rather than bad input.
     """
-    rows = V.rows
-    n = len(rows)
-    cols = list(zip(*rows))
-    X = _radix([[abs(a) + abs(b) for a, b in zip(row, col)] for row, col in zip(rows, cols)])
-    pencil = [[X * a - b for a, b in zip(row, col)] for row, col in zip(rows, cols)]
-    coeffs = _digits(_bareiss(pencil), X, n + 1)
-    delta = _as_laurent(coeffs, -(n // 2))
+    delta = V._delta
     assert delta.is_bar_symmetric(), "Alexander polynomial must be bar symmetric"
-    assert sum(coeffs) == 1, "Alexander polynomial must be 1 at t = 1"
     return delta
 
 
@@ -354,11 +366,14 @@ def signature(V: SeifertMatrix) -> int:
             pos += 1
         else:
             neg += 1
+        pivot = a[k]
         for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
             for j in range(i, n):
-                q, r = divmod(p * a[i][j] - a[i][k] * a[k][j], prev)
+                q, r = divmod(p * row[j] - f * pivot[j], prev)
                 assert r == 0, "fraction-free elimination must divide exactly"
-                a[i][j] = a[j][i] = q
+                row[j] = a[j][i] = q
         prev = p
     return pos - neg
 
@@ -366,7 +381,7 @@ def signature(V: SeifertMatrix) -> int:
 def knot_determinant(V: SeifertMatrix) -> int:
     """The determinant invariant |Delta(-1)| = |det(V + V^T)|; always odd
     for valid input."""
-    d = abs(_bareiss(_symmetrised(V)))
+    d = abs(V._delta.evaluate(-1))
     assert d % 2 == 1, "knot determinant must be odd"
     return d
 
@@ -393,6 +408,11 @@ class KnotInvariants(namedtuple("KnotInvariants", ("alexander", "signature", "de
         if signature % 2:
             raise ValueError("signature must be even")
         return super().__new__(cls, alexander, signature, determinant)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: run the checks of __new__ there too
+        return cls(*iterable)
 
     @classmethod
     def from_matrix(cls, V: SeifertMatrix) -> "KnotInvariants":
@@ -499,13 +519,9 @@ class UaVerdict(namedtuple("UaVerdict", ("known_one", "certificate"), defaults=(
         return self.known_one
 
 
-def ua_is_one(V: SeifertMatrix, delta: LaurentPoly | None = None) -> UaVerdict:
-    """Sufficient conditions for algebraic unknotting number one.
-
-    delta, when given, must be alexander(V); it saves recomputing it.
-    """
-    if delta is None:
-        delta = alexander(V)
+def ua_is_one(V: SeifertMatrix) -> UaVerdict:
+    """Sufficient conditions for algebraic unknotting number one."""
+    delta = V._delta
     for h in SMALL_H:
         if delta == h_form(h):
             return UaVerdict(True, f"Alexander polynomial h(t+t^-1)+1-2h with h = {h}")

@@ -2,9 +2,9 @@
 
 They share no code with the integer pencil core in ``gordian.seifert`` or
 the number theory in ``gordian.numtheory``: determinants by cofactor
-expansion over the Laurent ring, the signature by congruence
-diagonalisation over the rationals, and the Murakami condition and the
-quadratic form by linear scans.
+expansion over the Laurent ring, the pairing numerator multiplied out entry
+by entry, the signature by congruence diagonalisation over the rationals,
+and the Murakami condition and the quadratic form by linear scans.
 """
 
 from fractions import Fraction
@@ -50,6 +50,23 @@ def adjugate_by_cofactors(rows):
             cof = det_by_cofactors(minor)
             adj[j][i] = cof if (i + j) % 2 == 0 else -cof
     return adj
+
+
+def pairing_by_entries(adj, v, w) -> LaurentPoly:
+    """The pairing numerator (t - 1) sum_ij v_i adj_ij bar(w_j), multiplied
+    out entry by entry in the Laurent ring from the adjugate adj."""
+    n = len(v)
+    wbar = [c.bar() for c in w]
+    acc = LaurentPoly.zero()
+    for i in range(n):
+        if v[i].is_zero:
+            continue
+        row_sum = LaurentPoly.zero()
+        for j in range(n):
+            if not wbar[j].is_zero:
+                row_sum = row_sum + adj[i][j] * wbar[j]
+        acc = acc + v[i] * row_sum
+    return LaurentPoly({1: 1, 0: -1}) * acc
 
 
 def signature_over_q(V) -> int:

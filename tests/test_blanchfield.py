@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+
+from gordian import blanchfield
 
 from gordian.laurent import LaurentPoly, is_multiple
 from gordian.seifert import SeifertMatrix, alexander, det_laurent, enlarge, presentation_entries
@@ -13,7 +16,7 @@ from gordian.blanchfield import (
     pairing,
 )
 from gordian.verify import random_seifert, random_vector, small_laurent
-from oracles import adjugate_by_cofactors
+from oracles import adjugate_by_cofactors, pairing_by_entries
 
 P = LaurentPoly.parse
 
@@ -185,6 +188,73 @@ class TestPairing:
                 rows = [[LaurentPoly({0: V[a][b], 1: -V[b][a]}) for b in range(n)] for a in range(n)]
                 assert gram[i][j].num == P("t-1") * adjugate_by_cofactors(rows)[i][j]
                 assert gram[i][j].den == det_laurent(rows)
+
+
+def pairing_rows(V):
+    """V - tV^T as Laurent entries."""
+    rows = V.rows
+    return [[LaurentPoly({0: a, 1: -b}) for a, b in zip(r, c)] for r, c in zip(rows, zip(*rows))]
+
+
+def random_coords(rng, n, max_coeff):
+    """n coordinates with exponents -3..3, about a quarter of them zero."""
+    coords = []
+    for _ in range(n):
+        if rng.random() < 0.25:
+            coords.append(LaurentPoly.zero())
+        else:
+            exps = rng.sample(range(-3, 4), rng.randint(1, 4))
+            coords.append(LaurentPoly({e: rng.randint(-max_coeff, max_coeff) or 1 for e in exps}))
+    return coords
+
+
+class TestPairingBySubstitution:
+    """pairing sums v_i adj_ij bar(w_j) at one power of two and reads the
+    digits; it must give the polynomial the entry-by-entry product gives."""
+
+    def test_against_entry_oracle(self):
+        rng = random.Random(47)
+        for n in (2, 4, 6, 8, 10):
+            for k in range(6):
+                V = random_seifert(rng, n, bound=(3, 40)[k % 2])
+                rows = pairing_rows(V)
+                adj = adjugate_laurent(rows)
+                v = random_coords(rng, n, (10, 10**6)[k % 2])
+                w = random_coords(rng, n, (10**6, 3)[k % 2])
+                f = pairing(V, v, w)
+                assert f.num == pairing_by_entries(adj, v, w)
+                assert f.den == det_laurent(rows)
+
+    def test_integer_and_zero_coordinates(self):
+        rng = random.Random(53)
+        for n in (2, 4, 6):
+            V = random_seifert(rng, n)
+            gram = gram_matrix(V)  # warms the cached inverse
+            v = [rng.randint(-10**6, 10**6) for _ in range(n)]
+            w = [0] * n
+            w[rng.randrange(n)] = rng.randint(1, 10**6)
+            as_poly = [LaurentPoly.const(c) for c in v], [LaurentPoly.const(c) for c in w]
+            expected = pairing_by_entries(adjugate_laurent(pairing_rows(V)), *as_poly)
+            assert pairing(V, v, w).num == expected
+            assert pairing(V, [0] * n, w).num.is_zero
+            assert pairing(V, v, [0] * n).num.is_zero
+            assert gram == gram_matrix(V)
+
+    def test_radix_too_small(self, monkeypatch):
+        # only the pairing's own radix is broken, not the adjugate's
+        V = random_seifert(random.Random(59), 4)
+        v = [LaurentPoly({-1: 10**6, 2: -3})] * 4
+        monkeypatch.setattr(blanchfield, "_radix", lambda bound: 4)
+        with pytest.raises(AssertionError, match="radix"):
+            pairing(V, v, v)
+
+    def test_coordinates_must_be_integral(self):
+        with pytest.raises(ValueError, match="integers"):
+            pairing(TREFOIL, [Fraction(1, 2), 0], [1, 0])
+        with pytest.raises(ValueError, match="integers"):
+            pairing(TREFOIL, [1, 0], [0, LaurentPoly({1: Fraction(3, 2), 0: 1})])
+        # an integral Fraction is an integer
+        assert pairing(TREFOIL, [Fraction(4, 2), 0], [1, 0]) == pairing(TREFOIL, [2, 0], [1, 0])
 
 
 class TestGramMatrix:

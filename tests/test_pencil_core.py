@@ -221,8 +221,10 @@ class TestRadixTooSmall:
             adjugate_laurent([[one, one], [one, LaurentPoly({0: 5, 1: 1000})]])
 
     def test_alexander(self, monkeypatch):
-        V = SeifertMatrix([[1000, 1], [0, 1000]])
-        assert alexander(V) == LaurentPoly({1: 10**6, 0: 1 - 2 * 10**6, -1: 10**6})
+        # the Alexander polynomial is read off while the matrix is validated
+        rows = [[1000, 1], [0, 1000]]
+        delta = LaurentPoly({1: 10**6, 0: 1 - 2 * 10**6, -1: 10**6})
+        assert alexander(SeifertMatrix(rows)) == delta
         monkeypatch.setattr(seifert, "_radix", lambda norms: 4)
         with pytest.raises(AssertionError, match="radix"):
-            alexander(V)
+            SeifertMatrix(rows)

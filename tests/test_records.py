@@ -164,6 +164,33 @@ class TestRecordChecks:
         with pytest.raises(AssertionError):
             ObstructionReport("a", "b", (), rho_lower, rho_upper, dga_lower, dga_upper, dg_lower)
 
+    def test_replace_runs_the_checks(self):
+        # _replace builds through _make, which must call the constructor
+        report = ObstructionReport("a", "b", (), 1, 2, 1, None, 1)
+        with pytest.raises(AssertionError):
+            report._replace(rho_lower=5)
+        with pytest.raises(AssertionError):
+            report._replace(dga_upper=0)
+        with pytest.raises(AssertionError):
+            QuadFormVerdict("refuted")._replace(outcome="maybe")
+        with pytest.raises(ZeroDivisionError):
+            TorsionFraction(LaurentPoly.one(), TREFOIL)._replace(den=LaurentPoly.zero())
+        with pytest.raises(ValueError, match="determinant"):
+            KnotInvariants(TREFOIL, -2, 3)._replace(determinant=5)
+        with pytest.raises(ValueError, match="symmetric"):
+            KnotInvariants(TREFOIL, -2, 3)._replace(alexander=LaurentPoly.parse("t^2-t+1"))
+
+    def test_valid_replace(self):
+        report = ObstructionReport("a", "b", (), 1, 2, 1, None, 1)
+        changed = report._replace(rho_upper=1, dga_upper=2)
+        assert changed == ("a", "b", (), 1, 1, 1, 2, 1)
+        assert type(changed) is ObstructionReport
+        verdict = QuadFormVerdict("witness", 1, -2, 1)._replace(outcome="refuted", x=None)
+        assert verdict == QuadFormVerdict("refuted", None, -2, 1)
+        assert KnotInvariants(TREFOIL, -2, 3)._replace(signature=0) == (TREFOIL, 0, 3)
+        half = TorsionFraction(LaurentPoly.one(), TREFOIL)._replace(num=TREFOIL)
+        assert half == TorsionFraction(TREFOIL, TREFOIL)
+
     def test_ua_verdict_truth(self):
         assert not UaVerdict(False)
         assert UaVerdict(True, "certified")

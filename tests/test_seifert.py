@@ -68,6 +68,25 @@ class TestValidate:
             assert str(info.value) == message
         assert SeifertMatrix([[True, True], [False, True]]).rows == ((1, 1), (0, 1))
 
+    def test_determinant_read_from_digits(self):
+        # validation reads det(V - V^T) as the digit sum of det(XV - V^T);
+        # the message must name the same value a direct elimination gives
+        rng = random.Random(37)
+        rejected = 0
+        for i in range(120):
+            n = (2, 4, 6, 8)[i % 4]
+            bound = (1, 3, 1000)[i % 3]
+            rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            d = det_int([[a - b for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))])
+            if d == 1:
+                assert SeifertMatrix(rows).rows == tuple(map(tuple, rows))
+                continue
+            rejected += 1
+            with pytest.raises(InvalidMatrixError) as info:
+                SeifertMatrix(rows)
+            assert str(info.value) == f"det(V - V^T) must be 1, got {d}"
+        assert rejected > 100
+
 
 class TestDetInt:
     def test_empty(self):
@@ -167,6 +186,20 @@ class TestAlexander:
                 rhs = det_int([[k * V[i][j] - V[j][i] for j in range(n)] for i in range(n)])
                 assert lhs == rhs
 
+    def test_stored_polynomial_large_entries(self):
+        # the polynomial kept by the constructor, for matrices built directly
+        # and through the moves, against cofactor expansion of tV - V^T
+        rng = random.Random(25)
+        for i in range(24):
+            n = (0, 2, 4, 6, 8)[i % 5]
+            V = random_seifert(rng, n, bound=(3, 40, 1000)[i % 3])
+            moved = [enlarge(V, "row-border", 7, [1] * n, [-2] * n)]
+            if n:
+                moved.append(congruent_transform(V, random_unimodular(rng, n)))
+            for W in [V] + moved:
+                expected = det_by_cofactors(presentation_entries(W)).shift(-(W.size // 2))
+                assert alexander(W) == expected
+
     def test_random_normalisation(self):
         rng = random.Random(101)
         for i in range(500):
@@ -247,6 +280,16 @@ class TestKnotDeterminant:
 
     def test_from_polynomial(self):
         assert abs(P("-3t^2+12t-17+12t^-1-3t^-2").evaluate(-1)) == 47
+
+    def test_equals_symmetrised_determinant(self):
+        # |Delta(-1)| from the stored polynomial against |det(V + V^T)|
+        rng = random.Random(43)
+        for i in range(60):
+            n = (0, 2, 4, 6, 8, 10)[i % 6]
+            V = random_seifert(rng, n, bound=(3, 40, 1000)[i % 3])
+            rows = V.rows
+            symmetrised = [[a + b for a, b in zip(r, c)] for r, c in zip(rows, zip(*rows))]
+            assert knot_determinant(V) == abs(det_int(symmetrised))
 
 
 class TestKnotInvariants:
