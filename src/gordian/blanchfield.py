@@ -1,12 +1,13 @@
-"""The module presentation tV - V^T and the linking pairing it carries.
+"""The module presentation V - tV^T and the linking pairing it carries.
 
 Pairing values live in Q(L)/L where L is the integer Laurent ring.  They
 are kept as unreduced fractions (num, den) with den = det(V - tV^T); no
 canonical residue exists when the leading coefficient of the Alexander
 polynomial is not a unit, so equality is decided by cross-multiplied
-divisibility instead.  The adjugate of V - tV^T comes from the integer
-pencil core in seifert (one substitution t = X for a large power of two X,
-one fraction-free Gauss-Jordan elimination there, and each entry read off as
+divisibility instead.  V - tV^T is a pencil A - tA^T with A = V, so its
+adjugate is adjugate_laurent(V.rows) from the integer pencil core in
+seifert (one substitution t = X for a large power of two X, one
+fraction-free Gauss-Jordan elimination there, and each entry read off as
 base-X digits); its determinant is t^(n/2) Delta for the size n, from the
 Alexander polynomial the matrix kept when it was validated.  Both are
 computed once per matrix and shared by every pairing of that matrix.  A
@@ -66,15 +67,6 @@ def fractions_equal(f: TorsionFraction, g: TorsionFraction) -> bool:
     return is_multiple(f.num * g.den - g.num * f.den, f.den * g.den)
 
 
-def _pairing_matrix_entries(V: SeifertMatrix):
-    """Entries of V - tV^T, the matrix inverted by the pairing formula."""
-    rows = V.rows
-    return [
-        [LaurentPoly({0: a, 1: -b}) for a, b in zip(row, col)]
-        for row, col in zip(rows, zip(*rows))
-    ]
-
-
 @lru_cache(maxsize=1)
 def _pencil_inverse(V: SeifertMatrix):
     """(adj, det) of V - tV^T, so (V - tV^T)^-1 = adj / det.
@@ -85,7 +77,7 @@ def _pencil_inverse(V: SeifertMatrix):
     adjugate is a tuple of tuples so that no caller can change the cached
     value.
     """
-    adj = tuple(tuple(row) for row in adjugate_laurent(_pairing_matrix_entries(V)))
+    adj = tuple(tuple(row) for row in adjugate_laurent(V.rows))
     return adj, alexander(V).shift(V.size // 2)
 
 
@@ -184,9 +176,9 @@ def border_self_pairing_check(outer: SeifertMatrix, inner: SeifertMatrix) -> boo
     The outer matrix must literally be [[eps,0,0],[1,x,M],[0,N^T,inner]].
     """
     eps = _check_literal_border(outer, inner)
-    rows = _pairing_matrix_entries(outer)
-    cof = det_laurent([row[1:] for row in rows[1:]])
-    den = det_laurent(rows)
-    entry = TorsionFraction(T_MINUS_1 * cof, den)
-    target = TorsionFraction(LaurentPoly.const(eps) * alexander(inner), alexander(outer))
+    # the (0, 0) cofactor of V - tV^T is the pencil of V without row and column 0
+    cof = det_laurent([row[1:] for row in outer.rows[1:]])
+    delta = alexander(outer)
+    entry = TorsionFraction(T_MINUS_1 * cof, delta.shift(outer.size // 2))
+    target = TorsionFraction(LaurentPoly.const(eps) * alexander(inner), delta)
     return fractions_equal(entry, target)

@@ -84,25 +84,17 @@ def cmd_blanchfield(args, out) -> int:
     return 0
 
 
-def _int_at_least(text: str, minimum: int) -> int:
+def _positive_int(text: str) -> int:
+    """The argparse type of --bound and --iters: an integer of at least 1.
+    A smaller count or bound would search nothing and report a vacuous
+    result."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _search_bound(text: str) -> int:
-    """The argparse type of --bound: an integer of at least 1."""
-    return _int_at_least(text, 1)
-
-
-def _iteration_count(text: str) -> int:
-    """The argparse type of --iters: an integer of at least 0.  A negative
-    count would run no case and report a vacuous pass."""
-    return _int_at_least(text, 0)
 
 
 def cmd_quadform(args, out) -> int:
@@ -251,7 +243,7 @@ _COMMANDS = {
         (
             (("h",), {"type": int}),
             (("d",), {"type": int}),
-            (("--bound",), {"type": _search_bound, "default": 10_000}),
+            (("--bound",), {"type": _positive_int, "default": 10_000}),
         ),
         cmd_quadform,
     ),
@@ -264,7 +256,7 @@ _COMMANDS = {
             (("--matrix2",), {}),
             (("--ua1",), {"type": int}),
             (("--ua2",), {"type": int}),
-            (("--bound",), {"type": _search_bound}),
+            (("--bound",), {"type": _positive_int}),
             (("--manifest",), {"help": "batch mode: one pair per line, inputs separated by |"}),
         ),
         cmd_obstruct,
@@ -274,7 +266,7 @@ _COMMANDS = {
         (
             (("--suite",), {"required": True}),
             (("--seed",), {"type": int, "default": 0}),
-            (("--iters",), {"type": _iteration_count, "default": None}),
+            (("--iters",), {"type": _positive_int, "default": None}),
         ),
         cmd_verify,
     ),

@@ -21,6 +21,7 @@ from .seifert import (
     SMALL_H,
     SeifertMatrix,
     alexander,
+    check_alexander,
     h_form,
     knot_determinant,
     signature,
@@ -389,7 +390,7 @@ class _Side(
             "delta",
             "matrix",  # None for a polynomial input
             "sigma",  # None for a polynomial input
-            "det",  # |Delta(-1)|, or 0 when that is not an integer
+            "det",  # |Delta(-1)|, odd since Delta(-1) = Delta(1) = 1 mod 2
             "ua_one_certificate",  # None when u_a = 1 is not certified
         ),
     )
@@ -430,11 +431,8 @@ def _make_side(value, ua, label) -> _Side:
         matrix, delta = value, alexander(value)
         sigma, det = signature(value), knot_determinant(value)
     elif isinstance(value, LaurentPoly):
-        if value.is_zero:
-            raise ValueError("polynomial input must be nonzero")
-        matrix, delta, sigma = None, value, None
-        det = value.evaluate(-1)
-        det = abs(det) if isinstance(det, int) else 0
+        matrix, delta, sigma = None, check_alexander(value), None
+        det = abs(value.evaluate(-1))
     else:
         raise TypeError("input must be a SeifertMatrix or a LaurentPoly")
     certificate = _ua_one_certificate(delta, matrix, ua)
@@ -544,12 +542,9 @@ def _cc_bar_witness(
 
 
 def _murakami(s1: _Side, s2: _Side) -> CriterionResult:
-    """Hypothesis: odd positive knot determinants on both sides.  No d with
-    4d^2 = +-(D1 - D2) mod 2 D1 gives dg >= 2; a factoring or root budget
-    that runs out gives Inconclusive."""
-    if s1.det % 2 == 0 or s2.det % 2 == 0:
-        needs = "requires odd positive determinants on both sides"
-        return CriterionResult("murakami", False, "Inconclusive", needs)
+    """Hypothesis: odd positive knot determinants on both sides, which every
+    Alexander polynomial has.  No d with 4d^2 = +-(D1 - D2) mod 2 D1 gives
+    dg >= 2; a factoring or root budget that runs out gives Inconclusive."""
     mur = murakami_obstruction(s1.det, s2.det)
     relation = f"4d^2 = +-({s1.det} - {s2.det}) mod {2 * s1.det}"
     if mur.undecided:

@@ -3,16 +3,21 @@
 A Seifert matrix is an even-size integer matrix V with det(V - V^T) = 1.
 The 0x0 matrix is allowed and stands for the trivial class.  All arithmetic
 is exact and stays in the integers: determinants of integer matrices use
-Bareiss fraction-free elimination; a polynomial determinant or adjugate is
-taken once, at t = X for a power of two X above twice the Hadamard bound on
-its coefficients, and the coefficients are read off as the signed base-X
-digits of the result (Kronecker substitution); and the signature comes from
+Bareiss fraction-free elimination, and the signature comes from
 fraction-free symmetric elimination of V + V^T.
 
-Each matrix is eliminated once: the constructor takes det(tV - V^T) by one
-Kronecker substitution, checks that its coefficients sum to det(V - V^T) = 1,
-and keeps the Alexander polynomial it gives.  The Alexander polynomial and
-the knot determinant |Delta(-1)| are then read from that polynomial.
+Every polynomial matrix in gordian is a pencil A - tA^T for an integer
+matrix A: the presentation V - tV^T, its cofactors, and the bordered
+blocks the verify suites expand.  det_laurent(A) and adjugate_laurent(A)
+take that integer A.  Each substitutes t = X once, for a power of two X
+above twice the Hadamard bound on the coefficients, eliminates the integer
+matrix A - XA^T, and reads the coefficients off as the signed base-X
+digits of the result (Kronecker substitution).
+
+Each matrix is eliminated once: the constructor takes det(V - tV^T) this
+way, checks that its coefficients sum to det(V - V^T) = 1, and keeps the
+Alexander polynomial it gives.  The Alexander polynomial and the knot
+determinant |Delta(-1)| are then read from that polynomial.
 """
 
 from __future__ import annotations
@@ -89,14 +94,9 @@ class SeifertMatrix:
                 raise InvalidMatrixError("matrix must be square")
         if n % 2:
             raise InvalidMatrixError(f"matrix size must be even, got {n}")
-        # one Kronecker elimination of the pencil tV - V^T at t = X: its
-        # digits are the coefficients of det(tV - V^T), so they sum to
-        # det(V - V^T) and, shifted by t^(-n/2), give the Alexander polynomial
-        cols = tuple(zip(*rows))
-        norms = [[abs(a) + abs(b) for a, b in zip(row, col)] for row, col in zip(rows, cols)]
-        X = _radix(_hadamard(norms))
-        pencil = [[X * a - b for a, b in zip(row, col)] for row, col in zip(rows, cols)]
-        coeffs = _digits(_bareiss(pencil), X, n + 1)
+        # the coefficients of det(V - tV^T) = det(tV - V^T) (n is even) sum
+        # to det(V - V^T) and, shifted by t^(-n/2), give the Alexander polynomial
+        coeffs = _pencil_det(rows)
         d = sum(coeffs)
         if d != 1:
             raise InvalidMatrixError(f"det(V - V^T) must be 1, got {d}")
@@ -143,11 +143,11 @@ def parse_matrix_text(text: str) -> SeifertMatrix:
 
 # -- the integer pencil core -------------------------------------------------
 #
-# Every polynomial matrix here is a pencil with integer coefficients, so its
-# determinant and adjugate are found from one integer matrix (Kronecker
-# substitution): substitute t = X for a power of two X above twice any
-# coefficient the answer can have, take a Bareiss determinant (or, for the
-# adjugate, one fraction-free Gauss-Jordan elimination), and read the
+# Every polynomial matrix here is a pencil A - tA^T with A an integer matrix,
+# so its determinant and adjugate are found from one integer matrix
+# (Kronecker substitution): substitute t = X for a power of two X above twice
+# any coefficient the answer can have, take a Bareiss determinant (or, for
+# the adjugate, one fraction-free Gauss-Jordan elimination), and read the
 # coefficients off as the signed base-X digits of the result.
 
 
@@ -198,43 +198,24 @@ def _as_laurent(coeffs, shift) -> LaurentPoly:
     return _from_terms({d + shift: c for d, c in enumerate(coeffs) if c})
 
 
-def _shifted_rows(rows):
-    """Pull t^v out of each row so every entry is an ordinary polynomial.
-
-    Returns the shifts v (0 for a zero row), the entries as dense
-    coefficient lists (lowest degree first), and each row's degree bound.
-    """
-    shifts, dense, degrees = [], [], []
-    for row in rows:
-        v = min((e for p in row for e in p.terms), default=0)
-        entries = [[p.coeff(e) for e in range(v, p.degree + 1)] if p.terms else [] for p in row]
-        shifts.append(v)
-        dense.append(entries)
-        degrees.append(max([0] + [len(c) - 1 for c in entries]))
-    return shifts, dense, degrees
+def _pencil(A):
+    """The radix X for the pencil A - tA^T of an integer matrix A, and the
+    integer matrix A - XA^T, the pencil at t = X."""
+    cols = tuple(zip(*A))
+    X = _radix(_hadamard([[abs(a) + abs(b) for a, b in zip(row, col)] for row, col in zip(A, cols)]))
+    return X, [[a - X * b for a, b in zip(row, col)] for row, col in zip(A, cols)]
 
 
-def _kronecker(dense):
-    """The radix X for dense polynomial entries, and the integer matrix of
-    the entries at t = X (Horner)."""
-    X = _radix(_hadamard([[sum(map(abs, coeffs)) for coeffs in row] for row in dense]))
-    out = []
-    for row in dense:
-        values = []
-        for coeffs in row:
-            value = 0
-            for c in reversed(coeffs):
-                value = value * X + c
-            values.append(value)
-        out.append(values)
-    return X, out
+def _pencil_det(A):
+    """The n + 1 coefficients of det(A - tA^T) for an n x n integer matrix
+    A, lowest degree first."""
+    X, values = _pencil(A)
+    return _digits(_bareiss(values), X, len(A) + 1)
 
 
-def det_laurent(rows) -> LaurentPoly:
-    """Exact determinant of a square matrix of Laurent polynomials."""
-    shifts, dense, degrees = _shifted_rows(rows)
-    X, values = _kronecker(dense)
-    return _as_laurent(_digits(_bareiss(values), X, sum(degrees) + 1), sum(shifts))
+def det_laurent(A) -> LaurentPoly:
+    """det(A - tA^T) for a square integer matrix A."""
+    return _as_laurent(_pencil_det(A), 0)
 
 
 def _adjugate_int(a):
@@ -285,38 +266,19 @@ def _adjugate_by_cofactors(a):
     ]
 
 
-def adjugate_laurent(rows):
-    """Adjugate of a square Laurent polynomial matrix.
+def adjugate_laurent(A):
+    """adj(A - tA^T) for a square integer matrix A.
 
     Convention: adj(M) M = det(M) I, so the adjugate is the transpose of
-    the cofactor matrix.  Entry (i, j) omits row j, whose shift is taken
-    out of the total.
+    the cofactor matrix.  Each entry is an (n-1) x (n-1) minor of the
+    pencil, so it has n coefficients.
     """
-    if not rows:
-        return []
-    shifts, dense, degrees = _shifted_rows(rows)
-    X, values = _kronecker(dense)
-    adj = _adjugate_int(values)
-    total, degree = sum(shifts), sum(degrees)
-    return [
-        [
-            _as_laurent(_digits(entry, X, degree - degrees[j] + 1), total - shifts[j])
-            for j, entry in enumerate(row)
-        ]
-        for row in adj
-    ]
+    X, values = _pencil(A)
+    n = len(A)
+    return [[_as_laurent(_digits(entry, X, n), 0) for entry in row] for row in _adjugate_int(values)]
 
 
 # -- classical invariants ------------------------------------------------------
-
-
-def presentation_entries(V: SeifertMatrix):
-    """The matrix tV - V^T as Laurent polynomial entries."""
-    rows = V.rows
-    return [
-        [LaurentPoly({1: a, 0: -b}) for a, b in zip(row, col)]
-        for row, col in zip(rows, zip(*rows))
-    ]
 
 
 def _symmetrised(V: SeifertMatrix):
@@ -387,8 +349,11 @@ def knot_determinant(V: SeifertMatrix) -> int:
 
 
 def check_alexander(delta: LaurentPoly) -> LaurentPoly:
-    """Return delta if it is a normalised Alexander polynomial, symmetric under
-    t -> 1/t with value 1 at t = 1; raise ValueError otherwise."""
+    """Return delta if it is a normalised Alexander polynomial: integer
+    coefficients, symmetric under t -> 1/t, value 1 at t = 1; raise
+    ValueError otherwise."""
+    if not delta.is_integral:
+        raise ValueError(f"Alexander polynomial must have integer coefficients, got {delta}")
     if not delta.is_bar_symmetric():
         raise ValueError(f"Alexander polynomial must be symmetric under t -> 1/t, got {delta}")
     if delta.evaluate(1) != 1:

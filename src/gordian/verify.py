@@ -224,31 +224,12 @@ def suite_border_determinant(seed: int, iters: int = 200) -> SuiteResult:
             return True
         inner = SeifertMatrix(inner_rows)
         outer = unknotting_border(inner, eps, x, M, N, "a+")
-        m = outer.size
-        lhs = det_laurent(
-            [
-                [LaurentPoly({0: outer[i][j], 1: -outer[j][i]}) for j in range(m)]
-                for i in range(m)
-            ]
-        )
-        n = inner.size
-        block = [
-            [LaurentPoly({0: x, 1: -x})]
-            + [LaurentPoly({0: M[j], 1: -N[j]}) for j in range(n)]
-        ]
-        for i in range(n):
-            block.append(
-                [LaurentPoly({0: N[i], 1: -M[i]})]
-                + [LaurentPoly({0: inner[i][j], 1: -inner[j][i]}) for j in range(n)]
-            )
-        inner_det = det_laurent(
-            [
-                [LaurentPoly({0: inner[i][j], 1: -inner[j][i]}) for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        eps_1mt = LaurentPoly({0: eps, 1: -eps})
-        rhs = eps_1mt * det_laurent(block) + LaurentPoly.monomial(1) * inner_det
+        # det(W - tW^T) = t^(m/2) Delta(W) for a Seifert matrix W of size m;
+        # the block is A - tA^T for A = [[x, M], [N^T, W']]
+        lhs = alexander(outer).shift(outer.size // 2)
+        inner_det = alexander(inner).shift(inner.size // 2)
+        block = det_laurent([[x, *M]] + [[n, *row] for n, row in zip(N, inner.rows)])
+        rhs = LaurentPoly({0: eps, 1: -eps}) * block + LaurentPoly.monomial(1) * inner_det
         return lhs == rhs
 
     return _loop(
@@ -423,19 +404,12 @@ SUITES = {
     "ring-axioms": suite_ring_axioms,
 }
 
-DEFAULT_ITERS = {
-    "eq5": 200,
-    "sequiv": 500,
-    "sesquilinear": 200,
-    "main-theorem": 200,
-    "quadform-oracle": 0,
-    "ring-axioms": 1000,
-}
-
 
 def run_suite(name: str, seed: int, iters: int | None = None) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if iters is None:
-        iters = DEFAULT_ITERS[name]
+        return SUITES[name](seed)
+    if iters < 1:
+        raise ValueError(f"iteration count must be at least 1, got {iters}")
     return SUITES[name](seed, iters)

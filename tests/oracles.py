@@ -13,6 +13,11 @@ from math import isqrt
 from gordian.laurent import LaurentPoly
 
 
+def pencil_entries(A):
+    """The pencil A - tA^T of an integer matrix A, as Laurent entries."""
+    return [[LaurentPoly({0: a, 1: -b}) for a, b in zip(row, col)] for row, col in zip(A, zip(*A))]
+
+
 def det_by_cofactors(rows) -> LaurentPoly:
     """Laplace expansion along the first column.
 

@@ -6,7 +6,7 @@ import pytest
 from gordian import blanchfield
 
 from gordian.laurent import LaurentPoly, is_multiple
-from gordian.seifert import SeifertMatrix, alexander, det_laurent, enlarge, presentation_entries
+from gordian.seifert import SeifertMatrix, alexander, det_laurent, enlarge
 from gordian.blanchfield import (
     TorsionFraction,
     adjugate_laurent,
@@ -16,7 +16,7 @@ from gordian.blanchfield import (
     pairing,
 )
 from gordian.verify import random_seifert, random_vector, small_laurent
-from oracles import adjugate_by_cofactors, pairing_by_entries
+from oracles import adjugate_by_cofactors, det_by_cofactors, pairing_by_entries, pencil_entries
 
 P = LaurentPoly.parse
 
@@ -24,16 +24,16 @@ TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
 
 
 class TestPresentation:
-    """The matrix tV - V^T presents the module; its determinant is t^n Delta."""
+    """The matrix V - tV^T presents the module; its determinant is t^n Delta."""
 
     def test_determinant_is_unit_times_alexander(self):
-        assert det_laurent(presentation_entries(TREFOIL)) == P("t^2-t+1")
+        assert det_laurent(TREFOIL.rows) == P("t^2-t+1")
 
     def test_invariant_on_random_matrices(self):
         rng = random.Random(5)
         for i in range(500):
             V = random_seifert(rng, (2, 4)[i % 2])
-            assert det_laurent(presentation_entries(V)) == alexander(V).shift(V.size // 2)
+            assert det_laurent(V.rows) == alexander(V).shift(V.size // 2)
 
 
 class TestTorsionFraction:
@@ -65,34 +65,22 @@ class TestFractionsEqual:
 
 class TestAdjugate:
     def test_adjugate_times_matrix_is_det(self):
-        # random matrices of sizes 1 to 3, then sizes 1 to 10 with negative
-        # exponents, and the pairing matrices V - tV^T of even size
+        # pencils A - tA^T of random integer matrices of sizes 1 to 10, and
+        # the pairing matrices V - tV^T of even size
         rng = random.Random(13)
         cases = []
         for _ in range(25):
             n = rng.choice((1, 2, 3))
-            cases.append(
-                [
-                    [LaurentPoly({e: rng.randint(-2, 2) for e in range(0, 2)}) for _ in range(n)]
-                    for _ in range(n)
-                ]
-            )
+            cases.append([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
         for n in range(1, 11):
-            cases.append(
-                [
-                    [LaurentPoly({e: rng.randint(-2, 2) for e in (-1, 0, 1)}) for _ in range(n)]
-                    for _ in range(n)
-                ]
-            )
+            cases.append([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
             if n % 2 == 0:
-                V = random_seifert(rng, n)
-                cases.append(
-                    [[LaurentPoly({0: V[a][b], 1: -V[b][a]}) for b in range(n)] for a in range(n)]
-                )
-        for rows in cases:
-            n = len(rows)
-            adj = adjugate_laurent(rows)
-            det = det_laurent(rows)
+                cases.append([list(row) for row in random_seifert(rng, n).rows])
+        for A in cases:
+            n = len(A)
+            rows = pencil_entries(A)
+            adj = adjugate_laurent(A)
+            det = det_laurent(A)
             for i in range(n):
                 for j in range(n):
                     entry = sum(
@@ -101,35 +89,24 @@ class TestAdjugate:
                     assert entry == (det if i == j else LaurentPoly.zero())
 
     def test_methods_agree(self):
-        # the Kronecker adjugate against the cofactor oracle, with
-        # negative exponents
+        # the Kronecker adjugate against the cofactor oracle
         rng = random.Random(19)
         for _ in range(12):
             for n in (1, 2, 3, 4):
-                rows = [
-                    [
-                        LaurentPoly({e: rng.randint(-2, 2) for e in range(-1, 2)})
-                        for _ in range(n)
-                    ]
-                    for _ in range(n)
-                ]
-                assert adjugate_laurent(rows) == adjugate_by_cofactors(rows)
+                A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+                assert adjugate_laurent(A) == adjugate_by_cofactors(pencil_entries(A))
 
     def test_methods_agree_at_crossover_size(self):
         # sizes 5 and 6, the largest the cofactor oracle handles quickly,
-        # one matrix with a zero row
+        # one matrix with a zero row and column
         rng = random.Random(20)
         for n in (5, 6, 6):
-            rows = [
-                [
-                    LaurentPoly({e: rng.randint(-1, 1) for e in range(0, 2)})
-                    for _ in range(n)
-                ]
-                for _ in range(n)
-            ]
-            assert adjugate_laurent(rows) == adjugate_by_cofactors(rows)
-        rows[2] = [LaurentPoly.zero()] * 6
-        assert adjugate_laurent(rows) == adjugate_by_cofactors(rows)
+            A = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+            assert adjugate_laurent(A) == adjugate_by_cofactors(pencil_entries(A))
+        A[2] = [0] * 6
+        for row in A:
+            row[2] = 0
+        assert adjugate_laurent(A) == adjugate_by_cofactors(pencil_entries(A))
 
     def test_empty(self):
         assert adjugate_laurent([]) == []
@@ -185,15 +162,9 @@ class TestPairing:
                 e_i = [int(k == i) for k in range(n)]
                 e_j = [int(k == j) for k in range(n)]
                 assert pairing(V, e_i, e_j) == gram[i][j]
-                rows = [[LaurentPoly({0: V[a][b], 1: -V[b][a]}) for b in range(n)] for a in range(n)]
+                rows = pencil_entries(V.rows)
                 assert gram[i][j].num == P("t-1") * adjugate_by_cofactors(rows)[i][j]
-                assert gram[i][j].den == det_laurent(rows)
-
-
-def pairing_rows(V):
-    """V - tV^T as Laurent entries."""
-    rows = V.rows
-    return [[LaurentPoly({0: a, 1: -b}) for a, b in zip(r, c)] for r, c in zip(rows, zip(*rows))]
+                assert gram[i][j].den == det_by_cofactors(rows)
 
 
 def random_coords(rng, n, max_coeff):
@@ -217,13 +188,12 @@ class TestPairingBySubstitution:
         for n in (2, 4, 6, 8, 10):
             for k in range(6):
                 V = random_seifert(rng, n, bound=(3, 40)[k % 2])
-                rows = pairing_rows(V)
-                adj = adjugate_laurent(rows)
+                adj = adjugate_laurent(V.rows)
                 v = random_coords(rng, n, (10, 10**6)[k % 2])
                 w = random_coords(rng, n, (10**6, 3)[k % 2])
                 f = pairing(V, v, w)
                 assert f.num == pairing_by_entries(adj, v, w)
-                assert f.den == det_laurent(rows)
+                assert f.den == det_laurent(V.rows)
 
     def test_integer_and_zero_coordinates(self):
         rng = random.Random(53)
@@ -234,7 +204,7 @@ class TestPairingBySubstitution:
             w = [0] * n
             w[rng.randrange(n)] = rng.randint(1, 10**6)
             as_poly = [LaurentPoly.const(c) for c in v], [LaurentPoly.const(c) for c in w]
-            expected = pairing_by_entries(adjugate_laurent(pairing_rows(V)), *as_poly)
+            expected = pairing_by_entries(adjugate_laurent(V.rows), *as_poly)
             assert pairing(V, v, w).num == expected
             assert pairing(V, [0] * n, w).num.is_zero
             assert pairing(V, v, [0] * n).num.is_zero
@@ -276,12 +246,7 @@ class TestGramMatrix:
         for i in range(40):
             V = random_seifert(rng, (2, 4)[i % 2])
             n = V.size
-            expected_den = det_laurent(
-                [
-                    [LaurentPoly({0: V[a][b], 1: -V[b][a]}) for b in range(n)]
-                    for a in range(n)
-                ]
-            )
+            expected_den = det_by_cofactors(pencil_entries(V.rows))
             delta = alexander(V)
             assert expected_den == delta.shift(n // 2)
             gram = gram_matrix(V)

@@ -240,13 +240,16 @@ class TestVerify:
         argv = ["verify", "--suite", "eq5", "--iters", iters]
         code, out, err = cli_equivalence.outcome(argv)
         assert (code, out) == (1, "")
-        assert err == f"usage error: argument --iters: must be at least 0, got {iters}\n"
+        assert err == f"usage error: argument --iters: must be at least 1, got {iters}\n"
         assert cli_equivalence.outcome(argv, full=True) == (code, out, err)
 
-    def test_zero_iters_runs(self, capsys):
-        code, out, _ = run(capsys, ["verify", "--suite", "eq5", "--iters", "0"])
-        assert code == 0
-        assert "iterations: 0" in out
+    def test_zero_iters_is_a_usage_error(self):
+        # a run of no case would report a vacuous pass
+        argv = ["verify", "--suite", "eq5", "--iters", "0"]
+        code, out, err = cli_equivalence.outcome(argv)
+        assert (code, out) == (1, "")
+        assert err == "usage error: argument --iters: must be at least 1, got 0\n"
+        assert cli_equivalence.outcome(argv, full=True) == (code, out, err)
 
 
 class TestTable:
@@ -366,10 +369,7 @@ class TestParsers:
 
     def test_every_option_takes_a_value_starting_with_minus(self):
         positionals = {"quadform": ["1", "3"], "table": ["list"]}
-        refused = {
-            cli._search_bound: "must be at least 1",
-            cli._iteration_count: "must be at least 0",
-        }
+        refused = {cli._positive_int: "must be at least 1"}
         for name in cli._COMMANDS:
             parser, _ = cli._parser_for([name])
             options = [a for a in parser._actions if a.option_strings and a.nargs != 0]

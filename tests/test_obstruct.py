@@ -1,11 +1,12 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from gordian import numtheory, obstruct
 from gordian.laurent import LaurentPoly, divmod_rational, is_multiple
-from gordian.seifert import SeifertMatrix, h_form
+from gordian.seifert import KnotInvariants, SeifertMatrix, check_alexander, h_form
 from gordian.obstruct import (
     SearchBounds,
     TREFOIL_DELTA,
@@ -292,7 +293,9 @@ class TestExactDecisions:
         mur = murakami_obstruction(det, 3)
         assert (mur.obstructs, mur.witness) == (False, None)
         assert "factoring budget of 10 Pollard-Brent steps" in mur.undecided
-        report = build_report(LaurentPoly.const(det), LaurentPoly.const(3))
+        # |Delta(-1)| = 4h - 1 = det for h_form(h), and 3 for the other side;
+        # neither side has a u_a certificate, so no bounded search runs
+        report = build_report(h_form(250009000025), P("t^2+t-3+t^-1+t^-2"))
         by_name = {c.name: c for c in report.criteria}
         murakami = by_name["murakami"]
         assert (murakami.applicable, murakami.verdict) == (True, "Inconclusive")
@@ -414,21 +417,30 @@ class TestBuildReport:
             build_report(TREFOIL_DELTA, DELTA_9_25, ua1=1, ua2=0)
 
     def test_constant_three_matches_quadform_oracle(self):
-        report = build_report(TREFOIL_DELTA, LaurentPoly.const(3))
+        # -2t+5-2t^-1 = 3 modulo t-1+t^-1
+        report = build_report(TREFOIL_DELTA, P("-2t+5-2t^-1"))
         by_name = {c.name: c for c in report.criteria}
         assert by_name["quadratic-form"].verdict == "NoObstruction"
         assert "x = 1, y = 1" in by_name["quadratic-form"].certificate
         assert by_name["cc-bar-witness"].verdict == "NoObstruction"
         assert report.rho_lower == 1
 
-    def test_even_determinant_makes_murakami_inapplicable(self):
-        report = build_report(TREFOIL_DELTA, P("t+t^-1"))
-        by_name = {c.name: c for c in report.criteria}
-        assert not by_name["murakami"].applicable
-
     def test_rejects_zero_polynomial(self):
-        with pytest.raises(ValueError, match="nonzero"):
+        with pytest.raises(ValueError, match="evaluate to 1 at t = 1"):
             build_report(LaurentPoly.zero(), TREFOIL_DELTA)
+
+    def test_rejects_non_alexander_polynomials(self):
+        # Delta(1) = -1 once certified a Murakami obstruction; rational
+        # coefficients once passed as an Alexander polynomial
+        with pytest.raises(ValueError, match="evaluate to 1 at t = 1"):
+            build_report(P("2t-5+2t^-1"), P("t-1+t^-1"))
+        half = LaurentPoly({1: Fraction(1, 2), -1: Fraction(1, 2)})
+        with pytest.raises(ValueError, match="integer coefficients"):
+            check_alexander(half)
+        with pytest.raises(ValueError, match="integer coefficients"):
+            KnotInvariants(half, 0, 1)
+        with pytest.raises(ValueError, match="integer coefficients"):
+            build_report(TREFOIL_DELTA, half)
 
     def test_format_keys(self):
         report = build_report(TREFOIL_DELTA, DELTA_9_25, ua1=1, ua2=1)

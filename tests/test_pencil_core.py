@@ -1,9 +1,10 @@
 """The Kronecker substitution core of gordian.seifert against the oracles.
 
-Each polynomial determinant or adjugate is one integer computation at
-t = X, read back as signed base-X digits; these tests check the digit
-reader, the coefficient bound behind X, and the results against cofactor
-expansion over the Laurent ring.
+Every polynomial matrix is a pencil A - tA^T of an integer matrix A.  Its
+determinant or adjugate is one integer computation at t = X, read back as
+signed base-X digits; these tests check the digit reader, the coefficient
+bound behind X, and the results against cofactor expansion of the pencil's
+Laurent entries.
 """
 
 import random
@@ -18,19 +19,50 @@ from gordian.seifert import (
     adjugate_laurent,
     alexander,
     det_laurent,
-    presentation_entries,
 )
 from gordian.verify import random_seifert
-from oracles import adjugate_by_cofactors, det_by_cofactors
+from oracles import adjugate_by_cofactors, det_by_cofactors, pencil_entries
 
 BIG = 10**6
 
 
-def random_matrix(rng, n, bound=BIG, exps=(-2, -1, 0, 1, 2)):
-    return [
-        [LaurentPoly({e: rng.randint(-bound, bound) for e in exps if rng.random() < 0.5}) for _ in range(n)]
-        for _ in range(n)
-    ]
+def random_matrix(rng, n, bound=BIG):
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+
+
+def zero_row_and_column(rng, A):
+    """Zero row and column z of A, which zeroes row and column z of the pencil."""
+    z = rng.randrange(len(A))
+    A[z] = [0] * len(A)
+    for row in A:
+        row[z] = 0
+    return z
+
+
+def equal_rows(rng, A):
+    """Make rows i and j of the pencil equal: A's rows i and j, then its
+    columns i and j."""
+    i, j = rng.sample(range(len(A)), 2)
+    A[j] = list(A[i])
+    for row in A:
+        row[j] = row[i]
+
+
+def symmetric_singular(rng, n, bound=BIG):
+    """A symmetric A with det(A) = 0, so A - tA^T = (1 - t) A is singular."""
+    A = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            A[i][j] = A[j][i] = rng.randint(-bound, bound)
+    if n > 1:
+        i, j = rng.sample(range(n), 2)
+        A[j] = list(A[i])
+        for row in A:
+            row[j] = row[i]
+    else:
+        A[0][0] = 0
+    assert seifert.det_int(A) == 0
+    return A
 
 
 def sylvester(n):
@@ -70,36 +102,50 @@ class TestDigits:
 class TestDetLaurent:
     def test_against_cofactors_sizes_0_to_8(self):
         rng = random.Random(43)
+        not_unimodular = 0
         for n in range(9):
             for _ in range(4 if n < 7 else 2):
-                rows = random_matrix(rng, n)
-                assert det_laurent(rows) == det_by_cofactors(rows)
+                A = random_matrix(rng, n)
+                det = det_laurent(A)
+                assert det == det_by_cofactors(pencil_entries(A))
+                # the coefficients sum to det(A - A^T), 0 for odd n
+                not_unimodular += det.evaluate(1) != 1
+        assert not_unimodular >= 20
 
     def test_zero_row(self):
         rng = random.Random(44)
         for n in range(1, 9):
-            rows = random_matrix(rng, n)
-            rows[rng.randrange(n)] = [LaurentPoly.zero()] * n
-            assert det_laurent(rows).is_zero
+            A = random_matrix(rng, n)
+            zero_row_and_column(rng, A)
+            assert det_laurent(A).is_zero
 
     def test_two_equal_rows(self):
         rng = random.Random(45)
         for n in range(2, 9):
-            rows = random_matrix(rng, n)
-            i, j = rng.sample(range(n), 2)
-            rows[j] = list(rows[i])
-            assert det_laurent(rows).is_zero
+            A = random_matrix(rng, n)
+            equal_rows(rng, A)
+            assert det_laurent(A).is_zero
 
     def test_hadamard_extreme(self):
-        # |det| meets Hadamard's bound, the largest value the radix allows for
+        # |det A| meets Hadamard's bound for A = c H; A is symmetric, so
+        # A - tA^T = (1 - t) A and det = det(A) (1 - t)^n
         for n in (1, 2, 4, 8):
             for c in (BIG, -BIG):
-                rows = [[LaurentPoly({0: c * x}) for x in row] for row in sylvester(n)]
-                expected = det_by_cofactors(rows)
-                assert abs(expected.constant_value) == BIG**n * n ** (n // 2)
-                assert det_laurent(rows) == expected
-                shifted = [[LaurentPoly({1: c * x, -1: -c * x}) for x in row] for row in sylvester(n)]
-                assert det_laurent(shifted) == det_by_cofactors(shifted)
+                A = [[c * x for x in row] for row in sylvester(n)]
+                expected = LaurentPoly.const(seifert.det_int(A))
+                for _ in range(n):
+                    expected = expected * LaurentPoly({0: 1, 1: -1})
+                assert abs(seifert.det_int(A)) == BIG**n * n ** (n // 2)
+                assert det_laurent(A) == expected
+
+    def test_symmetric_singular(self):
+        rng = random.Random(46)
+        for n in range(1, 8):
+            assert det_laurent(symmetric_singular(rng, n)).is_zero
+
+    def test_rejects_laurent_entries(self):
+        with pytest.raises(TypeError):
+            det_laurent([[LaurentPoly({0: 1, 1: -1})]])
 
 
 class TestAdjugateLaurent:
@@ -107,17 +153,18 @@ class TestAdjugateLaurent:
         rng = random.Random(47)
         for n in range(7):
             for _ in range(3):
-                rows = random_matrix(rng, n)
-                assert adjugate_laurent(rows) == adjugate_by_cofactors(rows)
+                A = random_matrix(rng, n)
+                assert adjugate_laurent(A) == adjugate_by_cofactors(pencil_entries(A))
 
     def test_sizes_7_and_8(self):
         # adj(M) M = det(M) I determines adj(M) once det(M) is nonzero
         rng = random.Random(48)
         for n in (7, 8):
-            rows = random_matrix(rng, n, exps=(-1, 0, 1))
+            A = random_matrix(rng, n)
+            rows = pencil_entries(A)
             det = det_by_cofactors(rows)
             assert not det.is_zero
-            adj = adjugate_laurent(rows)
+            adj = adjugate_laurent(A)
             for i in range(n):
                 for j in range(n):
                     entry = sum((adj[i][k] * rows[k][j] for k in range(n)), LaurentPoly.zero())
@@ -126,25 +173,45 @@ class TestAdjugateLaurent:
     def test_zero_row(self):
         rng = random.Random(49)
         for n in range(1, 7):
-            rows = random_matrix(rng, n)
-            z = rng.randrange(n)
-            rows[z] = [LaurentPoly.zero()] * n
-            adj = adjugate_laurent(rows)
-            assert adj == adjugate_by_cofactors(rows)
-            # only the cofactors that omit the zero row survive
-            assert all(adj[i][j].is_zero for i in range(n) for j in range(n) if j != z)
+            A = random_matrix(rng, n)
+            z = zero_row_and_column(rng, A)
+            adj = adjugate_laurent(A)
+            assert adj == adjugate_by_cofactors(pencil_entries(A))
+            # only the cofactor that omits row and column z survives
+            assert all(adj[i][j].is_zero for i in range(n) for j in range(n) if (i, j) != (z, z))
 
     def test_two_equal_rows(self):
         # singular, but the cofactors that omit one of the two rows are not zero
         rng = random.Random(50)
         for n in range(2, 7):
-            rows = random_matrix(rng, n)
-            i, j = rng.sample(range(n), 2)
-            rows[j] = list(rows[i])
-            adj = adjugate_laurent(rows)
-            assert det_laurent(rows).is_zero
+            A = random_matrix(rng, n)
+            equal_rows(rng, A)
+            adj = adjugate_laurent(A)
+            assert det_laurent(A).is_zero
             assert any(not p.is_zero for row in adj for p in row)
-            assert adj == adjugate_by_cofactors(rows)
+            assert adj == adjugate_by_cofactors(pencil_entries(A))
+
+    def test_symmetric_singular(self, monkeypatch):
+        # (1 - t) A is singular at every t, so the integer adjugate takes
+        # the cofactor sweep
+        sweeps = []
+        sweep = seifert._adjugate_by_cofactors
+        monkeypatch.setattr(seifert, "_adjugate_by_cofactors", lambda a: sweeps.append(a) or sweep(a))
+        rng = random.Random(55)
+        for n in range(1, 7):
+            A = symmetric_singular(rng, n)
+            adj = adjugate_laurent(A)
+            assert adj == adjugate_by_cofactors(pencil_entries(A))
+            assert len(sweeps) == n
+            if n == 2:
+                assert any(not p.is_zero for row in adj for p in row)
+
+    def test_empty(self):
+        assert adjugate_laurent([]) == []
+
+    def test_rejects_laurent_entries(self):
+        with pytest.raises(TypeError):
+            adjugate_laurent([[LaurentPoly({0: 1, 1: -1})]])
 
 
 class TestAdjugateInt:
@@ -201,7 +268,7 @@ class TestAlexander:
         for i in range(12):
             n = (2, 4, 6, 8)[i % 4]
             V = random_seifert(rng, n, bound=1000)
-            expected = det_by_cofactors(presentation_entries(V)).shift(-(n // 2))
+            expected = det_by_cofactors(pencil_entries(V.rows)).shift(-(n // 2))
             assert alexander(V) == expected
 
 
@@ -212,13 +279,12 @@ class TestRadixTooSmall:
     def test_det_laurent(self, monkeypatch):
         monkeypatch.setattr(seifert, "_radix", lambda norms: 4)
         with pytest.raises(AssertionError, match="radix"):
-            det_laurent([[LaurentPoly({0: 5, 1: 1000})]])
+            det_laurent([[1000]])
 
     def test_adjugate_laurent(self, monkeypatch):
         monkeypatch.setattr(seifert, "_radix", lambda norms: 4)
-        one = LaurentPoly.one()
         with pytest.raises(AssertionError, match="radix"):
-            adjugate_laurent([[one, one], [one, LaurentPoly({0: 5, 1: 1000})]])
+            adjugate_laurent([[1, 1], [1, 1000]])
 
     def test_alexander(self, monkeypatch):
         # the Alexander polynomial is read off while the matrix is validated

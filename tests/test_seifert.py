@@ -9,6 +9,7 @@ from gordian.seifert import (
     InvalidMatrixError,
     KnotInvariants,
     SeifertMatrix,
+    adjugate_laurent,
     alexander,
     congruent_transform,
     det_int,
@@ -18,7 +19,6 @@ from gordian.seifert import (
     knot_determinant,
     mat_mul,
     parse_matrix_text,
-    presentation_entries,
     signature,
     transpose,
     try_reduce,
@@ -26,7 +26,7 @@ from gordian.seifert import (
     unknotting_border,
 )
 from gordian.verify import random_seifert, random_unimodular, random_vector
-from oracles import det_by_cofactors, signature_over_q
+from oracles import det_by_cofactors, pencil_entries, signature_over_q
 
 P = LaurentPoly.parse
 
@@ -131,29 +131,25 @@ class TestDetInt:
 
 class TestDetLaurent:
     def test_methods_agree(self):
-        # the Kronecker determinant against cofactor expansion, with
-        # negative exponents and, in every third matrix, a zero row
+        # det(A - tA^T) by Kronecker substitution against cofactor expansion
+        # of the pencil, with a zero row and column in every third matrix
         rng = random.Random(17)
         zero_rows = 0
         for k in range(84):
             n = k % 7
-            rows = [
-                [
-                    LaurentPoly({e: rng.randint(-3, 3) for e in range(-2, 3) if rng.random() < 0.5})
-                    for _ in range(n)
-                ]
-                for _ in range(n)
-            ]
+            A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             if n and k % 3 == 0:
-                rows[rng.randrange(n)] = [LaurentPoly.zero()] * n
+                z = rng.randrange(n)
+                A[z] = [0] * n
+                for row in A:
+                    row[z] = 0
+            rows = pencil_entries(A)
             zero_rows += any(all(p.is_zero for p in row) for row in rows)
-            assert det_laurent(rows) == det_by_cofactors(rows)
+            assert det_laurent(A) == det_by_cofactors(rows)
         assert zero_rows >= 24
 
     def test_zero_row(self):
-        zero = LaurentPoly.zero()
-        one = LaurentPoly.one()
-        assert det_laurent([[zero, zero], [one, one]]) == zero
+        assert det_laurent([[0, 0], [0, 1]]) == LaurentPoly.zero()
 
 
 class TestAlexander:
@@ -168,11 +164,12 @@ class TestAlexander:
         assert alexander(FIG8) == P("-t+3-t^-1")
 
     def test_det_method_agreement(self):
-        # against cofactor expansion of tV - V^T, normalised by t^-(n/2)
+        # against cofactor expansion of V - tV^T, whose determinant equals
+        # det(tV - V^T) for even n, normalised by t^-(n/2)
         rng = random.Random(23)
         for i in range(30):
             V = random_seifert(rng, (2, 4, 6)[i % 3])
-            expected = det_by_cofactors(presentation_entries(V)).shift(-(V.size // 2))
+            expected = det_by_cofactors(pencil_entries(V.rows)).shift(-(V.size // 2))
             assert alexander(V) == expected
 
     def test_pencil_identity_up_to_size_24(self):
@@ -188,7 +185,7 @@ class TestAlexander:
 
     def test_stored_polynomial_large_entries(self):
         # the polynomial kept by the constructor, for matrices built directly
-        # and through the moves, against cofactor expansion of tV - V^T
+        # and through the moves, against cofactor expansion of V - tV^T
         rng = random.Random(25)
         for i in range(24):
             n = (0, 2, 4, 6, 8)[i % 5]
@@ -197,7 +194,7 @@ class TestAlexander:
             if n:
                 moved.append(congruent_transform(V, random_unimodular(rng, n)))
             for W in [V] + moved:
-                expected = det_by_cofactors(presentation_entries(W)).shift(-(W.size // 2))
+                expected = det_by_cofactors(pencil_entries(W.rows)).shift(-(W.size // 2))
                 assert alexander(W) == expected
 
     def test_random_normalisation(self):
@@ -441,30 +438,12 @@ class TestBorderDeterminantIdentity:
             M = random_vector(rng, inner.size)
             N = random_vector(rng, inner.size)
             outer = unknotting_border(inner, eps, x, M, N, "a+")
-            m = outer.size
-            lhs = det_laurent(
-                [
-                    [LaurentPoly({0: outer[a][b], 1: -outer[b][a]}) for b in range(m)]
-                    for a in range(m)
-                ]
-            )
-            n = inner.size
-            block = [
-                [LaurentPoly({0: x, 1: -x})]
-                + [LaurentPoly({0: M[j], 1: -N[j]}) for j in range(n)]
-            ]
-            for a in range(n):
-                block.append(
-                    [LaurentPoly({0: N[a], 1: -M[a]})]
-                    + [LaurentPoly({0: inner[a][b], 1: -inner[b][a]}) for b in range(n)]
-                )
-            inner_det = det_laurent(
-                [
-                    [LaurentPoly({0: inner[a][b], 1: -inner[b][a]}) for b in range(n)]
-                    for a in range(n)
-                ]
-            )
-            rhs = LaurentPoly({0: eps, 1: -eps}) * det_laurent(block) + LaurentPoly.monomial(1) * inner_det
+            # the bordered block is the pencil of A = [[x, M], [N^T, W']]
+            A = [[x, *M]] + [[n, *row] for n, row in zip(N, inner.rows)]
+            lhs = det_laurent(outer.rows)
+            block = det_laurent(A)
+            assert block == det_by_cofactors(pencil_entries(A))
+            rhs = LaurentPoly({0: eps, 1: -eps}) * block + LaurentPoly.monomial(1) * det_laurent(inner.rows)
             assert lhs == rhs
 
 
@@ -514,8 +493,8 @@ class TestMatrixFile:
 
 class TestPresentationEntries:
     def test_trefoil_entries(self):
-        entries = presentation_entries(TREFOIL)
-        assert entries[0][0] == P("-t+1")
-        assert entries[0][1] == P("t")
-        assert entries[1][0] == P("-1")
-        assert entries[1][1] == P("-t+1")
+        # the presentation V - tV^T = [[t-1, 1], [-t, t-1]] by hand
+        entries = pencil_entries(TREFOIL.rows)
+        assert entries == [[P("t-1"), P("1")], [P("-t"), P("t-1")]]
+        assert det_laurent(TREFOIL.rows) == P("t^2-t+1")
+        assert adjugate_laurent(TREFOIL.rows) == [[P("t-1"), P("-1")], [P("t"), P("t-1")]]

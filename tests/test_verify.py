@@ -66,6 +66,17 @@ class TestSuiteRunner:
         with pytest.raises(KeyError):
             run_suite("bogus", 0, 1)
 
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_rejects_fewer_than_one_iteration(self, iters):
+        # a run of no case would be a vacuous pass
+        for name in SUITES:
+            with pytest.raises(ValueError, match="at least 1"):
+                run_suite(name, 0, iters)
+
+    def test_quadform_oracle_ignores_the_count(self):
+        # its grid is fixed; a count is accepted for interface uniformity
+        assert run_suite("quadform-oracle", 0, 2) == run_suite("quadform-oracle", 0)
+
     def test_deterministic_for_fixed_seed(self):
         a = run_suite("sequiv", seed=9, iters=10)
         b = run_suite("sequiv", seed=9, iters=10)
@@ -78,9 +89,6 @@ class TestVerifyCliFailurePath:
             return SuiteResult("broken", seed, 1, 1, "x = 1")
 
         monkeypatch.setitem(SUITES, "broken", failing_suite)
-        from gordian.verify import DEFAULT_ITERS
-
-        monkeypatch.setitem(DEFAULT_ITERS, "broken", 1)
         code = main(["verify", "--suite", "broken", "--seed", "0"])
         out = capsys.readouterr().out
         assert code == 3
