@@ -1,11 +1,12 @@
 """Command line surface.
 
 One table, ``_COMMANDS``, maps each command name to its help text, its
-arguments and its handler.  ``main`` builds a single parser for the
-command named by the first argument, so a run pays for one command's
-arguments only.  The full parser, with one subparser per command, is
-built only for ``-h``, an unknown command or no command, so help and
-usage errors read the same on both paths.  The set of flags that take a
+arguments and its handler.  ``main`` parses with a single parser for the
+command named by the first argument, holding that command's arguments
+only; each command's parser is built on its first use and then reused for
+the rest of the process.  The full parser, with one subparser per command,
+is built afresh only for ``-h``, an unknown command or no command, so help
+and usage errors read the same on both paths.  The set of flags that take a
 value, which lets a value begin with ``-``, comes from the same table.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 verification
@@ -15,6 +16,7 @@ suite failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -135,8 +137,10 @@ def _parse_manifest_token(token: str):
 def cmd_obstruct(args, out) -> int:
     bounds = _bounds_from_args(args)
     if args.manifest is not None:
-        if args.delta1 or args.delta2 or args.matrix1 or args.matrix2:
+        if any(v is not None for v in (args.delta1, args.delta2, args.matrix1, args.matrix2)):
             raise UsageError("--manifest cannot be combined with inline inputs")
+        if args.ua1 is not None or args.ua2 is not None:
+            raise UsageError("--manifest cannot be combined with --ua1 or --ua2")
         with open(args.manifest, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
         pair_no = 0
@@ -299,12 +303,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _command_parser(name: str) -> _Parser:
+    """The parser of one command, built on first use.  parse_args keeps no
+    state between calls, so one parser serves every call in the process;
+    the cache holds at most one parser per key of _COMMANDS."""
+    return _add_arguments(_Parser(prog=f"gordian {name}"), name)
+
+
 def _parser_for(argv):
-    """The parser for argv and the arguments it should parse: one
-    command's parser when argv starts with a command, else the full one."""
+    """The parser for argv and the arguments it should parse: the
+    command's parser, built on its first use and then reused in the
+    process, when argv starts with a command, else the full one."""
     if argv and argv[0] in _COMMANDS:
-        name = argv[0]
-        return _add_arguments(_Parser(prog=f"gordian {name}"), name), argv[1:]
+        return _command_parser(argv[0]), argv[1:]
     return build_parser(), argv
 
 

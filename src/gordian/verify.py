@@ -43,9 +43,10 @@ class SuiteResult(
 # -- random generators -----------------------------------------------------------
 
 
-def random_seifert(rng: random.Random, size: int, bound: int = 3) -> SeifertMatrix:
-    """A random valid Seifert matrix: a symmetric part plus the staircase
-    that fixes det(V - V^T) = 1.  Entries stay within [-bound, bound]."""
+def random_seifert_rows(rng: random.Random, size: int, bound: int = 3) -> list:
+    """The rows of a random valid Seifert matrix: a symmetric part plus the
+    staircase that fixes det(V - V^T) = 1.  Entries stay within
+    [-bound, bound]."""
     rows = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
@@ -57,7 +58,12 @@ def random_seifert(rng: random.Random, size: int, bound: int = 3) -> SeifertMatr
             rows[k][k + 1] -= 1
             rows[k + 1][k] -= 1
         rows[k][k + 1] += 1
-    return SeifertMatrix(rows)
+    return rows
+
+
+def random_seifert(rng: random.Random, size: int, bound: int = 3) -> SeifertMatrix:
+    """random_seifert_rows as a SeifertMatrix."""
+    return SeifertMatrix(random_seifert_rows(rng, size, bound))
 
 
 def random_unimodular(rng: random.Random, size: int, steps: int = 6):
@@ -202,12 +208,12 @@ def suite_ring_axioms(seed: int, iters: int = 1000) -> SuiteResult:
 
 def _border_case(rng, i, sizes=(0, 2, 4)):
     size = sizes[i % len(sizes)]
-    inner = random_seifert(rng, size)
+    inner = random_seifert_rows(rng, size)
     eps = rng.choice((1, -1))
     x = rng.randint(-3, 3)
     M = random_vector(rng, size)
     N = random_vector(rng, size)
-    return [list(r) for r in inner.rows], eps, x, M, N
+    return inner, eps, x, M, N
 
 
 def suite_border_determinant(seed: int, iters: int = 200) -> SuiteResult:
@@ -248,14 +254,14 @@ def suite_sequiv(seed: int, iters: int = 500) -> SuiteResult:
 
     def draw(rng, i):
         size = (2, 4)[i % 2]
-        inner = random_seifert(rng, size)
+        rows = random_seifert_rows(rng, size)
         P = random_unimodular(rng, size)
         kind = rng.choice(("row-border", "column-border"))
         x = rng.randint(-3, 3)
         M = random_vector(rng, size)
         N = random_vector(rng, size)
         eps = rng.choice((1, -1))
-        return [list(r) for r in inner.rows], P, kind == "row-border", x, M, N, eps
+        return rows, P, kind == "row-border", x, M, N, eps
 
     def triple(V):
         delta = alexander(V)
@@ -296,12 +302,12 @@ def suite_sesquilinear(seed: int, iters: int = 200) -> SuiteResult:
 
     def draw(rng, i):
         size = (2, 4)[i % 2]
-        V = random_seifert(rng, size)
+        rows = random_seifert_rows(rng, size)
         x = [sorted(small_laurent(rng).terms.items()) for _ in range(size)]
         y = [sorted(small_laurent(rng).terms.items()) for _ in range(size)]
         a = sorted(small_laurent(rng).terms.items())
         b = sorted(small_laurent(rng).terms.items())
-        return [list(r) for r in V.rows], x, y, a, b
+        return rows, x, y, a, b
 
     def check(case):
         rows, x_terms, y_terms, a_terms, b_terms = case

@@ -1,10 +1,11 @@
 """The command line read by one command's parser against the full parser.
 
 ``main`` parses a known command with a parser holding that command's
-arguments alone, and everything else with the full parser of every
-command.  ``outcome`` runs ``main`` either way on the same argv and
-records (exit code, stdout, stderr), so the two can be compared on the
-running interpreter, whatever its argparse version.
+arguments alone, built on the command's first use and then reused in the
+process, and everything else with the full parser of every command.
+``outcome`` runs ``main`` either way on the same argv and records (exit
+code, stdout, stderr), so the two can be compared on the running
+interpreter, whatever its argparse version.
 
 Runs without pytest as well:
 
@@ -100,6 +101,7 @@ def corpus(paths: dict) -> list:
         ["obstruct", *BUNDLED, "--ua2"],
         ["obstruct", "--manifest", paths["manifest"]],
         ["obstruct", "--manifest", paths["manifest"], "--delta1", "t-1+t^-1"],
+        ["obstruct", "--manifest", paths["manifest"], "--ua1", "1"],
         ["obstruct", "--manifest", paths["missing"]],
         ["obstruct", "--delta1", "-h"],
         ["obstruct", "-h"],

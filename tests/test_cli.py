@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 import cli_equivalence
@@ -215,6 +219,23 @@ class TestObstruct:
         assert "rho_lower: 2" in first
         assert "rho_lower: 0" in second
 
+    @pytest.mark.parametrize(
+        "extra, complaint",
+        [
+            # a manifest has no place for u_a, so the value would be dropped
+            (["--ua1", "1"], "--ua1 or --ua2"),
+            (["--ua2", "1"], "--ua1 or --ua2"),
+            # an empty inline input is an input too
+            (["--delta1", ""], "inline inputs"),
+        ],
+    )
+    def test_manifest_rejects_other_inputs(self, capsys, tmp_path, extra, complaint):
+        manifest = tmp_path / "pairs.txt"
+        manifest.write_text("t-1+t^-1 | -t+3-t^-1\n")
+        code, out, err = run(capsys, ["obstruct", "--manifest", str(manifest), *extra])
+        assert (code, out) == (1, "")
+        assert err == f"usage error: --manifest cannot be combined with {complaint}\n"
+
 
 class TestVerify:
     def test_suite_runs(self, capsys):
@@ -342,15 +363,64 @@ class TestParsers:
             "table": ["table", "list"],
         }
         assert set(argvs) == set(cli._COMMANDS)
+        cli._command_parser.cache_clear()
         for name, argv in argvs.items():
             built.clear()
             assert main(argv) == 0
             assert built == [f"gordian {name}"]
-        for argv in ([], ["frob"], ["--matrix", trefoil_file]):
+            # the second call reuses the parser of the first
             built.clear()
-            assert main(argv) == 1
-            assert len(built) == 1 + len(cli._COMMANDS)
+            assert main(argv) == 0
+            assert built == []
+        for argv in ([], ["frob"], ["--matrix", trefoil_file]):
+            for _ in range(2):
+                built.clear()
+                assert main(argv) == 1
+                assert len(built) == 1 + len(cli._COMMANDS)
+        assert cli._command_parser.cache_info().currsize == len(cli._COMMANDS)
         capsys.readouterr()
+
+    def test_reused_parser_keeps_no_state(self, tmp_path):
+        # the corpus forward and then in reverse, in one process: every
+        # argv reads the same whichever calls came before it
+        argvs = cli_equivalence.corpus(cli_equivalence.write_inputs(str(tmp_path)))
+        forward = [cli_equivalence.outcome(argv) for argv in argvs]
+        backward = [cli_equivalence.outcome(argv) for argv in reversed(argvs)]
+        assert forward == backward[::-1]
+
+    @pytest.mark.parametrize(
+        "rejected, valid",
+        [
+            (
+                ["obstruct", "--delta1", "t-1+t^-1", "--delta2", "-t+3-t^-1", "--bound", "0"],
+                ["obstruct", "--delta1", "t-1+t^-1", "--delta2", "-t+3-t^-1"],
+            ),
+            (
+                ["verify", "--suite", "eq5", "--iters", "0"],
+                ["verify", "--suite", "ring-axioms", "--seed", "5", "--iters", "3"],
+            ),
+        ],
+    )
+    def test_rejected_call_leaves_no_state(self, rejected, valid):
+        cli._command_parser.cache_clear()
+        alone = cli_equivalence.outcome(valid)
+        assert alone[0] == 0
+        cli._command_parser.cache_clear()
+        code, out, err = cli_equivalence.outcome(rejected)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ")
+        assert cli_equivalence.outcome(valid) == alone
+
+    def test_import_builds_no_parser(self):
+        # setup time is spent on first use, not at import
+        script = "from gordian import cli; print(cli._command_parser.cache_info().currsize)"
+        # the child imports the same gordian as this process
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "0\n"
 
     def test_same_outcome_as_full_parser(self, tmp_path):
         argvs = cli_equivalence.corpus(cli_equivalence.write_inputs(str(tmp_path)))

@@ -6,6 +6,7 @@ from gordian.verify import (
     SuiteResult,
     minimize_case,
     random_seifert,
+    random_seifert_rows,
     random_unimodular,
     run_suite,
 )
@@ -22,6 +23,19 @@ class TestRandomGenerators:
                 assert isinstance(V, SeifertMatrix)
                 assert V.size == size
                 assert all(abs(x) <= 3 for row in V.rows for x in row)
+
+    def test_rows_draw_pinned(self):
+        # the suites' cases, and so their results and counterexamples, rest
+        # on these numbers being drawn in this order
+        rng = random.Random(3)
+        assert random_seifert_rows(rng, 4) == [
+            [-2, 2, 1, -2],
+            [1, -1, 1, 0],
+            [1, 1, 2, 2],
+            [-2, 0, 1, -3],
+        ]
+        assert random_seifert(rng, 2, bound=5).rows == ((4, -4), (-5, 2))
+        assert rng.random() == 0.25935401432800764
 
     def test_random_unimodular(self):
         rng = random.Random(2)
