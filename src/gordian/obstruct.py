@@ -206,9 +206,17 @@ class CcBarWitness(namedtuple("CcBarWitness", ("c", "sign"))):
 
 
 def _cc_candidates(max_breadth: int, max_coeff: int):
-    """Candidate polynomials with support starting at exponent 0, positive
-    lowest coefficient and bounded breadth and coefficients.  Units t^k and
-    the global sign are quotiented out since c bar(c) ignores both."""
+    """Candidate polynomials c of the window, one for each class of c bar(c).
+
+    c bar(c) is unchanged by three symmetries of c: a unit t^k, the global
+    sign, and the reversal t^b bar(c) for c of breadth b.  The first two are
+    quotiented out by taking support from exponent 0 to b and a positive
+    lowest coefficient; the reversal then maps the window to itself, and of
+    each pair c, reversal(c) (made positive) only the one met first in the
+    enumeration order below is emitted.  Coefficients run through 1, 2, ...
+    at exponent 0 and through 0, 1, -1, 2, -2, ... above it, nonzero at the
+    top exponent, breadth by breadth.
+    """
     lead = range(1, max_coeff + 1)
     signed = list(_signed_range(max_coeff))
     nonzero = [v for v in signed if v]
@@ -218,6 +226,11 @@ def _cc_candidates(max_breadth: int, max_coeff: int):
         else:
             slots = [lead] + [signed] * (breadth - 1) + [nonzero]
         for coeffs in itertools.product(*slots):
+            # every slot lists its values in increasing _signed_rank, so
+            # comparing ranks compares positions in the enumeration
+            twin = coeffs[::-1] if coeffs[-1] > 0 else tuple(-v for v in reversed(coeffs))
+            if list(map(_signed_rank, twin)) < list(map(_signed_rank, coeffs)):
+                continue
             yield LaurentPoly(dict(enumerate(coeffs)))
 
 
@@ -230,14 +243,16 @@ def cc_bar_witness_search(
     """Search for c with +-delta_prime - c bar(c) a multiple of delta.
 
     Returns a CcBarWitness or None.  None is not a refutation; the search
-    space is only a finite window.
+    space is only a finite window.  The first witness is the one of the full
+    window, since a skipped candidate has the c bar(c) of one tried before.
     """
     if delta.is_zero:
         raise ZeroDivisionError("modulus polynomial must be nonzero")
+    targets = ((1, delta_prime), (-1, -delta_prime))
     for c in _cc_candidates(max_breadth, max_coeff):
         cc = c * c.bar()
-        for sign in (1, -1):
-            if is_multiple(sign * delta_prime - cc, delta):
+        for sign, target in targets:
+            if is_multiple(target - cc, delta):
                 return CcBarWitness(c, sign)
     return None
 

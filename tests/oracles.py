@@ -4,13 +4,15 @@ They share no code with the integer pencil core in ``gordian.seifert`` or
 the number theory in ``gordian.numtheory``: determinants by cofactor
 expansion over the Laurent ring, the pairing numerator multiplied out entry
 by entry, the signature by congruence diagonalisation over the rationals,
-and the Murakami condition and the quadratic form by linear scans.
+and the Murakami condition and the quadratic form by linear scans.  The
+cc-bar search runs the whole window, reversal pairs included.
 """
 
+import itertools
 from fractions import Fraction
 from math import isqrt
 
-from gordian.laurent import LaurentPoly
+from gordian.laurent import LaurentPoly, is_multiple
 
 
 def pencil_entries(A):
@@ -159,3 +161,24 @@ def quadform_by_box(h, d, bound=10_000):
                 if num % 2 == 0:
                     return "witness", x, num // 2, s, None
     return "inconclusive", None, None, None, bound
+
+
+def cc_bar_by_full_window(delta, delta_prime, max_breadth, max_coeff):
+    """(c, sign) of the first c bar(c) = sign * delta_prime mod delta, or None.
+
+    Every c of breadth <= max_breadth with support from exponent 0, positive
+    lowest coefficient and coefficients bounded by max_coeff is tried for both
+    signs, breadth by breadth, in the order 0, 1, -1, 2, ... at each exponent.
+    """
+    lead = range(1, max_coeff + 1)
+    signed = list(_signed_range(max_coeff))
+    nonzero = [v for v in signed if v]
+    for breadth in range(max_breadth + 1):
+        slots = [lead] + [signed] * (breadth - 1) + [nonzero] if breadth else [lead]
+        for coeffs in itertools.product(*slots):
+            c = LaurentPoly(dict(enumerate(coeffs)))
+            cc = c * c.bar()
+            for sign in (1, -1):
+                if is_multiple(sign * delta_prime - cc, delta):
+                    return c, sign
+    return None

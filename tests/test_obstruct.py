@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -20,7 +21,7 @@ from gordian.obstruct import (
     signature_bound,
 )
 from gordian.verify import quadform_oracle_values, random_seifert
-from oracles import murakami_by_scan, quadform_by_box
+from oracles import cc_bar_by_full_window, murakami_by_scan, quadform_by_box
 from test_report_text import SMALL, both_orders, corpus
 
 P = LaurentPoly.parse
@@ -161,6 +162,56 @@ class TestCcBarSearch:
     def test_zero_modulus_rejected(self):
         with pytest.raises(ZeroDivisionError):
             cc_bar_witness_search(LaurentPoly.zero(), TREFOIL_DELTA)
+
+    def test_first_witness_matches_full_window(self):
+        # the full window tries both members of each reversal pair
+        rng = random.Random(12)
+        windows = itertools.cycle(((2, 2), (3, 2), (4, 1), (2, 3)))
+        outcomes = []
+        for h in (1, 2, 3, 5, -1, -2, 4, -4, 7):
+            delta = h_form(h)
+            for half in (0, 1, 2):  # symmetric Delta' of breadth 0, 2, 4
+                for _ in range(2):
+                    terms = {0: rng.choice([v for v in range(-9, 10) if v or half])}
+                    for k in range(1, half + 1):
+                        terms[k] = terms[-k] = rng.choice([v for v in range(-4, 5) if v or k < half])
+                    target, window = LaurentPoly(terms), next(windows)
+                    witness = cc_bar_witness_search(delta, target, *window)
+                    expected = cc_bar_by_full_window(delta, target, *window)
+                    assert (witness and tuple(witness)) == expected, (h, target, window)
+                    outcomes.append(witness is None)
+        assert 0 < sum(outcomes) < len(outcomes) == 54
+
+    @pytest.mark.parametrize("window, count", [((4, 1), 53), ((4, 2), 674), ((3, 8), 19_872)])
+    def test_window_counts(self, window, count):
+        assert sum(1 for _ in obstruct._cc_candidates(*window)) == count
+
+    def test_reversal_never_emitted_before(self):
+        max_breadth, max_coeff = 4, 2
+        seen, twins = set(), set()
+        for c in obstruct._cc_candidates(max_breadth, max_coeff):
+            twin = c.bar().shift(c.breadth)
+            twin = twin if twin.coeff(0) > 0 else -twin
+            assert c not in seen and (twin == c or twin not in seen), c
+            seen.add(c)
+            twins.add(twin)
+        # with their reversals the candidates fill the whole window
+        m, s = max_coeff, 2 * max_coeff + 1
+        full = m + sum(m * s ** (b - 1) * 2 * m for b in range(1, max_breadth + 1))
+        assert len(seen | twins) == full == 1250
+
+    def test_exhausted_window_divides_twice_per_candidate(self, monkeypatch):
+        # counted through the module global, as a tracer counts it
+        calls = []
+
+        def counting(a, b):
+            calls.append(a)
+            return is_multiple(a, b)
+
+        monkeypatch.setattr(obstruct, "is_multiple", counting)
+        delta, other = P("4t-7+4t^-1"), P("t^2-4t+7-4t^-1+t^-2")
+        assert cc_bar_witness_search(delta, other, 4, 1) is None
+        assert len(calls) == 2 * 53
 
 
 class TestMurakami:
