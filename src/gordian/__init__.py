@@ -16,7 +16,6 @@ from .seifert import (
     parse_matrix_text,
     signature,
     try_reduce,
-    ua_is_one,
     unknotting_border,
 )
 from .blanchfield import (

@@ -247,7 +247,7 @@ _COMMANDS = {
         (
             (("h",), {"type": int}),
             (("d",), {"type": int}),
-            (("--bound",), {"type": _positive_int, "default": 10_000}),
+            (("--bound",), {"type": _positive_int, "default": SearchBounds().quadform_bound}),
         ),
         cmd_quadform,
     ),

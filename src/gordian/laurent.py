@@ -210,20 +210,14 @@ class LaurentPoly:
         return _from_terms({e + k: c for e, c in self.terms.items()})
 
     def evaluate(self, x: int):
-        """Exact substitution t := x for a nonzero integer x.
-
-        Returns an int when the value is integral, otherwise a Fraction.
-        """
-        if x == 0:
-            raise ValueError("cannot evaluate at t = 0")
+        """The value at t = 1 or t = -1, the only points any invariant
+        needs: the sum of the coefficients, with odd exponents negated at
+        t = -1.  An int when the value is integral, otherwise a Fraction."""
         if x == 1:
             return _norm_coeff(sum(self.terms.values()))
         if x == -1:
             return _norm_coeff(sum(-c if e & 1 else c for e, c in self.terms.items()))
-        # x^low * value is a polynomial in x: sum it, divide once at the end
-        low = min(0, min(self.terms, default=0))
-        num = sum(c * x ** (e - low) for e, c in self.terms.items())
-        return _norm_coeff(Fraction(num, x**-low) if low else num)
+        raise ValueError(f"evaluate takes t = 1 or t = -1, got {x!r}")
 
     # -- comparisons and hashing -------------------------------------------
 

@@ -25,10 +25,26 @@ from .seifert import (
     h_form,
     knot_determinant,
     signature,
-    ua_is_one,
 )
 
 TREFOIL_DELTA = h_form(1)
+
+
+class SearchBounds(
+    namedtuple(
+        "SearchBounds",
+        ("cc_max_breadth", "cc_max_coeff", "quadform_bound"),
+        defaults=(4, 8, 10_000),
+    )
+):
+    """The windows of the two bounded searches: breadth and coefficients of
+    the cc-bar candidates, and |x| for an indefinite quadratic form.  These
+    defaults are the only ones: the search functions and the CLI read them."""
+
+    __slots__ = ()
+
+
+_DEFAULT_BOUNDS = SearchBounds()
 
 
 # -- binary quadratic form -----------------------------------------------------
@@ -127,7 +143,9 @@ def _nagell_bound(h: int, d: int, bound: int) -> int:
     return min(bound, root + (root * root < square))
 
 
-def quadform_represents(h: int, d: int, bound: int = 10_000) -> QuadFormVerdict:
+def quadform_represents(
+    h: int, d: int, bound: int = _DEFAULT_BOUNDS.quadform_bound
+) -> QuadFormVerdict:
     """Decide whether h^2 x^2 + (2h-1) xy + y^2 takes the value d or -d.
 
     Both branches solve for y exactly per x (``_y_solutions``).  For h >= 1
@@ -237,8 +255,8 @@ def _cc_candidates(max_breadth: int, max_coeff: int):
 def cc_bar_witness_search(
     delta: LaurentPoly,
     delta_prime: LaurentPoly,
-    max_breadth: int = 4,
-    max_coeff: int = 8,
+    max_breadth: int = _DEFAULT_BOUNDS.cc_max_breadth,
+    max_coeff: int = _DEFAULT_BOUNDS.cc_max_coeff,
 ):
     """Search for c with +-delta_prime - c bar(c) a multiple of delta.
 
@@ -315,16 +333,6 @@ def signature_bound(sig1: int, sig2: int) -> int:
 
 
 # -- aggregated report -------------------------------------------------------------
-
-
-class SearchBounds(
-    namedtuple(
-        "SearchBounds",
-        ("cc_max_breadth", "cc_max_coeff", "quadform_bound"),
-        defaults=(4, 8, 10_000),
-    )
-):
-    __slots__ = ()
 
 
 class CriterionResult(
@@ -416,19 +424,29 @@ class _Side(
 
 
 def _ua_one_certificate(delta: LaurentPoly, matrix: SeifertMatrix | None, ua: int | None):
+    """The reason this side has u_a = 1, or None when none is known.
+
+    A user value of 1 is taken on trust.  Every class whose Alexander
+    polynomial is h_form(h) with h in SMALL_H has u_a = 1; a matrix side
+    words this as its polynomial's h.  A 2x2 Seifert matrix
+    V = [[a, b], [c, d]] has Delta = h_form(det V), since
+    (b - c)^2 = det(V - V^T) = 1, so its rule |det V| in SMALL_H reads
+    h = det V off the same polynomial, and no determinant is taken.
+    """
     if ua == 1:
         return "user supplied u_a = 1"
-    if matrix is not None:
-        verdict = ua_is_one(matrix)
-        if verdict:
-            return verdict.certificate
     h = _h_form_value(delta)
     if h in SMALL_H:
-        return f"every class with this Alexander polynomial has u_a = 1 (h = {h})"
+        if matrix is None:
+            return f"every class with this Alexander polynomial has u_a = 1 (h = {h})"
+        return f"Alexander polynomial h(t+t^-1)+1-2h with h = {h}"
+    if matrix is not None and matrix.size == 2 and h is not None and -h in SMALL_H:
+        return f"2x2 matrix with |det V| = {-h}"
     return None
 
 
 def _h_form_value(delta: LaurentPoly):
+    """The h with delta = h_form(h), or None when there is none."""
     h = delta.coeff(1)
     if h and delta == h_form(h):
         return h
@@ -597,7 +615,7 @@ def build_report(
     label2: str | None = None,
 ) -> ObstructionReport:
     """Run every criterion on the pair and aggregate the bounds they certify."""
-    bounds = bounds or SearchBounds()
+    bounds = bounds or _DEFAULT_BOUNDS
     for ua in (ua1, ua2):
         if ua is not None and ua < 0:
             raise ValueError("u_a values must be nonnegative")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import isqrt
-from operator import mul
+from operator import index, mul
 
 from .laurent import LaurentPoly, _from_terms
 
@@ -33,9 +33,23 @@ class InvalidMatrixError(ValueError):
     """The entries do not form a Seifert matrix."""
 
 
+def _int_rows(rows, error=ValueError):
+    """The rows of a matrix as lists of ints, each entry taken by
+    operator.index: an entry that is not an integer (a float, a Fraction, a
+    string) raises error naming it, instead of being truncated by int()."""
+    try:
+        return [list(map(index, row)) for row in rows]
+    except TypeError:
+        for row in rows:
+            for x in row:
+                if not hasattr(x, "__index__"):
+                    raise error(f"matrix entries must be integers, got {x!r}") from None
+        raise
+
+
 def det_int(rows) -> int:
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    return _bareiss([list(map(int, row)) for row in rows])
+    return _bareiss(_int_rows(rows))
 
 
 def _bareiss(a) -> int:
@@ -87,7 +101,7 @@ class SeifertMatrix:
     __slots__ = ("rows", "_delta")
 
     def __init__(self, entries):
-        rows = tuple(tuple(map(int, row)) for row in entries)
+        rows = tuple(map(tuple, _int_rows(entries, InvalidMatrixError)))
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -219,13 +233,14 @@ def det_laurent(A) -> LaurentPoly:
 
 
 def _adjugate_int(a):
-    """Integer adjugate adj(a) of a square int matrix, so adj(a) a = det(a) I.
+    """Integer adjugate adj(a) of a nonsingular square int matrix, so
+    adj(a) a = det(a) I.
 
     Fraction-free Gauss-Jordan elimination of [a | I] (Bareiss's exact
     division, applied above the pivot as well as below) ends at
     [p I | R] with p = det(Pa) and R = p (Pa)^-1 for the row swaps P, so
-    adj(a) = sign(P) R.  A singular a leaves a zero pivot column; then the
-    adjugate is taken cofactor by cofactor.
+    adj(a) = sign(P) R.  A singular a leaves a zero pivot column and raises
+    ValueError.
     """
     n = len(a)
     rows = [row + [0] * n for row in a]
@@ -238,7 +253,7 @@ def _adjugate_int(a):
         if rows[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
             if swap is None:
-                return _adjugate_by_cofactors(a)
+                raise ValueError("singular pencil: det(A - tA^T) is the zero polynomial")
             rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
         pivot = rows[k]
@@ -253,25 +268,14 @@ def _adjugate_int(a):
     return [row[n:] if sign > 0 else [-x for x in row[n:]] for row in rows]
 
 
-def _adjugate_by_cofactors(a):
-    """adj[i][j] = (-1)^(i+j) det(a without row j, column i)."""
-    n = len(a)
-    return [
-        [
-            (-1) ** (i + j)
-            * _bareiss([row[:i] + row[i + 1 :] for k, row in enumerate(a) if k != j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
 def adjugate_laurent(A):
-    """adj(A - tA^T) for a square integer matrix A.
+    """adj(A - tA^T) for a square integer matrix A with det(A - tA^T) != 0.
 
     Convention: adj(M) M = det(M) I, so the adjugate is the transpose of
     the cofactor matrix.  Each entry is an (n-1) x (n-1) minor of the
-    pencil, so it has n coefficients.
+    pencil, so it has n coefficients.  A pencil whose determinant is the
+    zero polynomial is singular at t = X too, and raises ValueError; a
+    Seifert matrix never gives one, since det(V - tV^T) = t^(n/2) Delta.
     """
     X, values = _pencil(A)
     n = len(A)
@@ -389,7 +393,7 @@ class KnotInvariants(namedtuple("KnotInvariants", ("alexander", "signature", "de
 
 def congruent_transform(V: SeifertMatrix, P) -> SeifertMatrix:
     """P V P^T for a unimodular integer matrix P of the same size."""
-    rows = [[int(x) for x in row] for row in P]
+    rows = _int_rows(P)
     if len(rows) != V.size or any(len(r) != V.size for r in rows):
         raise ValueError(f"transform must be {V.size}x{V.size}")
     if det_int(rows) not in (1, -1):
@@ -402,9 +406,10 @@ def _bordered(first_row, second_prefix, x, M, N, V):
     n = V.size
     if len(M) != n or len(N) != n:
         raise ValueError(f"border vectors must have length {n}")
-    rows = [list(first_row) + [0] * n, list(second_prefix) + [x] + [int(v) for v in M]]
+    # SeifertMatrix converts every entry, x, M and N included
+    rows = [list(first_row) + [0] * n, list(second_prefix) + [x, *M]]
     for i in range(n):
-        rows.append([0, int(N[i])] + list(V.rows[i]))
+        rows.append([0, N[i]] + list(V.rows[i]))
     return SeifertMatrix(rows)
 
 
@@ -463,7 +468,7 @@ def unknotting_border(
     return _bordered([eps, s], [0], x, M, N, W)
 
 
-# -- algebraic unknotting number certificates -----------------------------------
+# -- h-form polynomials --------------------------------------------------------------
 
 
 SMALL_H = (1, 2, 3, 5)
@@ -472,26 +477,3 @@ SMALL_H = (1, 2, 3, 5)
 def h_form(h: int) -> LaurentPoly:
     """The breadth-two symmetric polynomial h t + h t^-1 + 1 - 2h."""
     return LaurentPoly({1: h, -1: h, 0: 1 - 2 * h})
-
-
-class UaVerdict(namedtuple("UaVerdict", ("known_one", "certificate"), defaults=("",))):
-    """Outcome of the one-step-from-trivial test: Yes with a certificate,
-    or Unknown.  The test is one-sided and never answers No."""
-
-    __slots__ = ()
-
-    def __bool__(self):
-        return self.known_one
-
-
-def ua_is_one(V: SeifertMatrix) -> UaVerdict:
-    """Sufficient conditions for algebraic unknotting number one."""
-    delta = V._delta
-    for h in SMALL_H:
-        if delta == h_form(h):
-            return UaVerdict(True, f"Alexander polynomial h(t+t^-1)+1-2h with h = {h}")
-    if V.size == 2:
-        d = abs(det_int(V.rows))
-        if d in SMALL_H:
-            return UaVerdict(True, f"2x2 matrix with |det V| = {d}")
-    return UaVerdict(False)

@@ -66,7 +66,8 @@ class TestFractionsEqual:
 class TestAdjugate:
     def test_adjugate_times_matrix_is_det(self):
         # pencils A - tA^T of random integer matrices of sizes 1 to 10, and
-        # the pairing matrices V - tV^T of even size
+        # the pairing matrices V - tV^T of even size; a singular pencil
+        # has no adjugate taken
         rng = random.Random(13)
         cases = []
         for _ in range(25):
@@ -76,37 +77,57 @@ class TestAdjugate:
             cases.append([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
             if n % 2 == 0:
                 cases.append([list(row) for row in random_seifert(rng, n).rows])
+        singular = 0
         for A in cases:
             n = len(A)
+            det = det_laurent(A)
+            if det.is_zero:
+                singular += 1
+                with pytest.raises(ValueError, match="singular pencil"):
+                    adjugate_laurent(A)
+                continue
             rows = pencil_entries(A)
             adj = adjugate_laurent(A)
-            det = det_laurent(A)
             for i in range(n):
                 for j in range(n):
                     entry = sum(
                         (adj[i][k] * rows[k][j] for k in range(n)), LaurentPoly.zero()
                     )
                     assert entry == (det if i == j else LaurentPoly.zero())
+        assert 0 < singular < len(cases) // 2
+
+    @staticmethod
+    def agrees_with_oracle(A):
+        """The Kronecker adjugate equals the cofactor oracle's, or, for a
+        singular pencil, raises ValueError; returns whether it was singular."""
+        if det_by_cofactors(pencil_entries(A)).is_zero:
+            with pytest.raises(ValueError, match="singular pencil"):
+                adjugate_laurent(A)
+            return True
+        assert adjugate_laurent(A) == adjugate_by_cofactors(pencil_entries(A))
+        return False
 
     def test_methods_agree(self):
         # the Kronecker adjugate against the cofactor oracle
         rng = random.Random(19)
+        singular = 0
         for _ in range(12):
             for n in (1, 2, 3, 4):
                 A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-                assert adjugate_laurent(A) == adjugate_by_cofactors(pencil_entries(A))
+                singular += self.agrees_with_oracle(A)
+        assert 0 < singular < 24
 
     def test_methods_agree_at_crossover_size(self):
         # sizes 5 and 6, the largest the cofactor oracle handles quickly,
-        # one matrix with a zero row and column
+        # then one matrix with a zero row and column, which is singular
         rng = random.Random(20)
         for n in (5, 6, 6):
             A = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
-            assert adjugate_laurent(A) == adjugate_by_cofactors(pencil_entries(A))
+            assert not self.agrees_with_oracle(A)
         A[2] = [0] * 6
         for row in A:
             row[2] = 0
-        assert adjugate_laurent(A) == adjugate_by_cofactors(pencil_entries(A))
+        assert self.agrees_with_oracle(A)
 
     def test_empty(self):
         assert adjugate_laurent([]) == []

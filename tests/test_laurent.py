@@ -136,17 +136,25 @@ class TestEvaluate:
         assert P("t+t^-1-1").evaluate(-1) == -3
         assert P("t+t^-1-1").evaluate(1) == 1
         assert P("-3t^2+12t-17+12t^-1-3t^-2").evaluate(-1) == -47
-        assert L.zero().evaluate(-2) == 0
+        assert L.zero().evaluate(-1) == 0
 
     def test_rational_result(self):
-        assert P("t^-1").evaluate(2) == Fraction(1, 2)
+        assert L({-1: Fraction(1, 2)}).evaluate(-1) == Fraction(-1, 2)
+        assert L({-1: Fraction(1, 2), 2: Fraction(1, 3)}).evaluate(1) == Fraction(5, 6)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             P("t").evaluate(0)
 
+    def test_rejects_other_points(self):
+        # only t = 1 and t = -1 are taken; every other point raises
+        for x in (2, -2, 3, -5, 10**20, Fraction(1, 2), 0.5):
+            with pytest.raises(ValueError, match="t = 1 or t = -1"):
+                P("t^-1").evaluate(x)
+            with pytest.raises(ValueError, match="t = 1 or t = -1"):
+                L.zero().evaluate(x)
+
     def test_plus_minus_one_keep_the_result_type(self):
-        # the sums at t = 1 and t = -1 skip the general path
         cases = [
             (L({1: Fraction(1, 2), -1: Fraction(1, 2)}), 1, -1),
             (L({0: Fraction(1, 2), 2: Fraction(-1, 2)}), 0, 0),
@@ -167,11 +175,14 @@ class TestEvaluate:
             if i % 2:
                 terms = {e: Fraction(c, rng.randint(1, 6)) for e, c in terms.items()}
             p = L(terms)
-            for x in (1, -1, 2, -2, 3, -5):
+            for x in (1, -1):
                 expected = sum((Fraction(c) * Fraction(x) ** e for e, c in p.terms.items()), Fraction(0))
                 value = p.evaluate(x)
                 assert value == expected
                 assert isinstance(value, int) == (expected.denominator == 1)
+            for x in (2, -2, 3, -5):
+                with pytest.raises(ValueError):
+                    p.evaluate(x)
 
 
 class TestDivmod:

@@ -171,40 +171,40 @@ class TestAdjugateLaurent:
                     assert entry == (det if i == j else LaurentPoly.zero())
 
     def test_zero_row(self):
+        # a zero row and column of the pencil make it singular: no adjugate
         rng = random.Random(49)
         for n in range(1, 7):
             A = random_matrix(rng, n)
-            z = zero_row_and_column(rng, A)
-            adj = adjugate_laurent(A)
-            assert adj == adjugate_by_cofactors(pencil_entries(A))
-            # only the cofactor that omits row and column z survives
-            assert all(adj[i][j].is_zero for i in range(n) for j in range(n) if (i, j) != (z, z))
+            zero_row_and_column(rng, A)
+            with pytest.raises(ValueError, match="singular pencil"):
+                adjugate_laurent(A)
 
     def test_two_equal_rows(self):
-        # singular, but the cofactors that omit one of the two rows are not zero
+        # singular, although the cofactors that omit one of the two rows are not zero
         rng = random.Random(50)
         for n in range(2, 7):
             A = random_matrix(rng, n)
             equal_rows(rng, A)
-            adj = adjugate_laurent(A)
             assert det_laurent(A).is_zero
-            assert any(not p.is_zero for row in adj for p in row)
-            assert adj == adjugate_by_cofactors(pencil_entries(A))
+            with pytest.raises(ValueError, match="singular pencil"):
+                adjugate_laurent(A)
 
-    def test_symmetric_singular(self, monkeypatch):
-        # (1 - t) A is singular at every t, so the integer adjugate takes
-        # the cofactor sweep
-        sweeps = []
-        sweep = seifert._adjugate_by_cofactors
-        monkeypatch.setattr(seifert, "_adjugate_by_cofactors", lambda a: sweeps.append(a) or sweep(a))
+    def test_symmetric_singular(self):
+        # (1 - t) A is singular at every t, so at t = X too
         rng = random.Random(55)
         for n in range(1, 7):
-            A = symmetric_singular(rng, n)
-            adj = adjugate_laurent(A)
-            assert adj == adjugate_by_cofactors(pencil_entries(A))
-            assert len(sweeps) == n
-            if n == 2:
-                assert any(not p.is_zero for row in adj for p in row)
+            with pytest.raises(ValueError, match="singular pencil"):
+                adjugate_laurent(symmetric_singular(rng, n))
+
+    def test_singular_matrix_nonsingular_pencil(self):
+        # a zero row of A alone leaves row z of the pencil -t (column z of A)
+        rng = random.Random(56)
+        for n in range(2, 7):
+            A = random_matrix(rng, n)
+            A[rng.randrange(n)] = [0] * n
+            assert seifert.det_int(A) == 0
+            assert not det_laurent(A).is_zero
+            assert adjugate_laurent(A) == adjugate_by_cofactors(pencil_entries(A))
 
     def test_empty(self):
         assert adjugate_laurent([]) == []
@@ -216,7 +216,7 @@ class TestAdjugateLaurent:
 
 class TestAdjugateInt:
     """The integer adjugate by one fraction-free Gauss-Jordan elimination,
-    with the cofactor sweep kept for singular matrices."""
+    which refuses a singular matrix."""
 
     @staticmethod
     def oracle(m):
@@ -224,10 +224,14 @@ class TestAdjugateInt:
         return [[p.constant_value for p in row] for row in adjugate_by_cofactors(rows)]
 
     def check(self, m):
+        # nonsingular: the cofactor oracle; singular: ValueError
         before = [list(row) for row in m]
-        adj = seifert._adjugate_int(m)
+        if seifert.det_int(m) == 0:
+            with pytest.raises(ValueError, match="singular pencil"):
+                seifert._adjugate_int(m)
+        else:
+            assert seifert._adjugate_int(m) == self.oracle(m)
         assert m == before
-        assert adj == self.oracle(m)
 
     def test_sizes_0_to_8(self):
         rng = random.Random(52)
@@ -249,17 +253,19 @@ class TestAdjugateInt:
 
     def test_singular(self):
         rng = random.Random(54)
+        cases = [[[0]], [[2, 4], [1, 2]]]
         for n in range(1, 8):
             m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             m[rng.randrange(n)] = [0] * n
-            self.check(m)
+            cases.append(m)
             if n > 1:
                 m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
                 i, j = rng.sample(range(n), 2)
                 m[j] = list(m[i])
-                self.check(m)
-        self.check([[0]])
-        self.check([[2, 4], [1, 2]])
+                cases.append(m)
+        for m in cases:
+            assert seifert.det_int(m) == 0
+            self.check(m)
 
 
 class TestAlexander:

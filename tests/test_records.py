@@ -20,7 +20,7 @@ from gordian.obstruct import (
     SearchBounds,
     _Side,
 )
-from gordian.seifert import KnotInvariants, SeifertMatrix, UaVerdict
+from gordian.seifert import KnotInvariants, SeifertMatrix
 from gordian.tables import BundledEntry
 from gordian.verify import SuiteResult
 
@@ -95,12 +95,6 @@ RECORDS = [
         ("alexander", "signature", "determinant"),
         {},
         "KnotInvariants(alexander=LaurentPoly('t-1+t^-1'), signature=-2, determinant=3)",
-    ),
-    (
-        UaVerdict(True, "x"),
-        ("known_one", "certificate"),
-        {"certificate": ""},
-        "UaVerdict(known_one=True, certificate='x')",
     ),
     (
         TorsionFraction(LaurentPoly({0: 1}), TREFOIL),
@@ -190,10 +184,6 @@ class TestRecordChecks:
         assert KnotInvariants(TREFOIL, -2, 3)._replace(signature=0) == (TREFOIL, 0, 3)
         half = TorsionFraction(LaurentPoly.one(), TREFOIL)._replace(num=TREFOIL)
         assert half == TorsionFraction(TREFOIL, TREFOIL)
-
-    def test_ua_verdict_truth(self):
-        assert not UaVerdict(False)
-        assert UaVerdict(True, "certified")
 
 
 def test_import_loads_no_heavy_modules():

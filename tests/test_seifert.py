@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gordian.laurent import LaurentPoly
+from gordian.obstruct import _ua_one_certificate
 from gordian.seifert import (
     BORDER_VARIANTS,
     InvalidMatrixError,
@@ -22,7 +23,6 @@ from gordian.seifert import (
     signature,
     transpose,
     try_reduce,
-    ua_is_one,
     unknotting_border,
 )
 from gordian.verify import random_seifert, random_unimodular, random_vector
@@ -67,6 +67,18 @@ class TestValidate:
                 SeifertMatrix(rows)
             assert str(info.value) == message
         assert SeifertMatrix([[True, True], [False, True]]).rows == ((1, 1), (0, 1))
+
+    def test_non_integer_entries_rejected(self):
+        # int() would truncate the first to the trefoil [[-1, 1], [0, -1]]
+        cases = [
+            ([[-1.9, 1.5], [0.2, -1]], "-1.9"),
+            ([[Fraction(-2, 2), 1], [0, -1]], "Fraction(-1, 1)"),
+            ([[-1, 1], [0, "-1"]], "'-1'"),
+        ]
+        for rows, shown in cases:
+            with pytest.raises(InvalidMatrixError) as info:
+                SeifertMatrix(rows)
+            assert str(info.value) == f"matrix entries must be integers, got {shown}"
 
     def test_determinant_read_from_digits(self):
         # validation reads det(V - V^T) as the digit sum of det(XV - V^T);
@@ -124,9 +136,18 @@ class TestDetInt:
         assert det_int(rows) == -1 and rows == ((0, 1), (1, 0))
 
     def test_integral_non_int_entries(self):
+        # bools are ints; an integral Fraction or float is refused, not converted
         assert det_int([[True, False], [False, True]]) == 1
         assert det_int([[True, True], [True, False]]) == -1
-        assert det_int([[Fraction(4, 2), 1], [3, 2.0]]) == 1
+        for rows, shown in (
+            ([[Fraction(4, 2), 1], [3, 2]], "Fraction(2, 1)"),
+            ([[2, 1], [3, 2.0]], "2.0"),
+            ([[0.5, 0], [0, 2]], "0.5"),
+            ([[1, "0"], [0, 1]], "'0'"),
+        ):
+            with pytest.raises(ValueError) as info:
+                det_int(rows)
+            assert str(info.value) == f"matrix entries must be integers, got {shown}"
 
 
 class TestDetLaurent:
@@ -332,6 +353,17 @@ class TestCongruence:
         with pytest.raises(ValueError, match="2x2"):
             congruent_transform(TREFOIL, [[1]])
 
+    def test_rejects_non_integer_entries(self):
+        # int() would truncate P to the identity
+        for P, shown in (
+            ([[1, 0.5], [0, 1]], "0.5"),
+            ([[1, 0], [Fraction(1, 2), 1]], "Fraction(1, 2)"),
+            ([[1, 0], ["0", 1]], "'0'"),
+        ):
+            with pytest.raises(ValueError) as info:
+                congruent_transform(TREFOIL, P)
+            assert str(info.value) == f"matrix entries must be integers, got {shown}"
+
     def test_invariants_preserved(self):
         rng = random.Random(53)
         for i in range(100):
@@ -384,6 +416,20 @@ class TestEnlargeReduce:
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             enlarge(TREFOIL, "row-border", 0, [1], [1, 2])
+
+    def test_rejects_non_integer_entries(self):
+        for x, M, N, shown in (
+            (0, [0.5, 0], [0, 0], "0.5"),
+            (Fraction(1, 3), [0, 0], [0, 0], "Fraction(1, 3)"),
+            (0, [0, 0], [0, "1"], "'1'"),
+        ):
+            for border in (
+                lambda: enlarge(TREFOIL, "row-border", x, M, N),
+                lambda: unknotting_border(TREFOIL, 1, x, M, N),
+            ):
+                with pytest.raises(ValueError) as info:
+                    border()
+                assert str(info.value) == f"matrix entries must be integers, got {shown}"
 
 
 class TestUnknottingBorder:
@@ -448,10 +494,19 @@ class TestBorderDeterminantIdentity:
 
 
 class TestUaIsOne:
+    """The u_a = 1 rules for a matrix side, in obstruct._ua_one_certificate."""
+
+    @staticmethod
+    def certificate(V):
+        return _ua_one_certificate(alexander(V), V, None)
+
     def test_trefoil_by_polynomial(self):
-        verdict = ua_is_one(TREFOIL)
-        assert verdict.known_one
-        assert "h = 1" in verdict.certificate
+        assert self.certificate(TREFOIL) == "Alexander polynomial h(t+t^-1)+1-2h with h = 1"
+        # the same polynomial without a matrix, and a user value, word it otherwise
+        assert _ua_one_certificate(alexander(TREFOIL), None, None) == (
+            "every class with this Alexander polynomial has u_a = 1 (h = 1)"
+        )
+        assert _ua_one_certificate(alexander(TREFOIL), TREFOIL, 1) == "user supplied u_a = 1"
 
     def test_h_form_values(self):
         for h in (1, 2, 3, 5):
@@ -463,15 +518,32 @@ class TestUaIsOne:
         for _ in range(50):
             V = random_seifert(rng, 4)
             if alexander(V).breadth == 4:
-                assert not ua_is_one(V).known_one
+                assert self.certificate(V) is None
                 break
         else:
             pytest.fail("no breadth four matrix found")
 
     def test_2x2_small_det(self):
-        verdict = ua_is_one(FIG8)
-        assert verdict.known_one
-        assert "det" in verdict.certificate
+        assert self.certificate(FIG8) == "2x2 matrix with |det V| = 1"
+        cases = [
+            ([[3, -1], [-2, 0]], -2, "2x2 matrix with |det V| = 2"),
+            ([[1, 2], [1, -1]], -3, "2x2 matrix with |det V| = 3"),
+            ([[1, 3], [2, -1]], -7, None),
+            ([[1, 2], [3, 1]], -5, "2x2 matrix with |det V| = 5"),
+            ([[2, 1], [0, 1]], 2, "Alexander polynomial h(t+t^-1)+1-2h with h = 2"),
+            ([[1, 1], [0, 0]], 0, None),  # Delta = 1: u_a = 0, no certificate
+        ]
+        for rows, det, expected in cases:
+            V = SeifertMatrix(rows)
+            assert det_int(rows) == det
+            assert self.certificate(V) == expected
+
+    def test_delta_is_h_form_of_det(self):
+        # (b - c)^2 = det(V - V^T) = 1 makes Delta = h_form(det V) for 2x2 V
+        rng = random.Random(89)
+        for _ in range(300):
+            V = random_seifert(rng, 2, bound=9)
+            assert alexander(V) == h_form(det_int(V.rows))
 
 
 class TestMatrixFile:
