@@ -4,34 +4,22 @@ Pairing values live in Q(L)/L where L is the integer Laurent ring.  They
 are kept as unreduced fractions (num, den) with den = det(V - tV^T); no
 canonical residue exists when the leading coefficient of the Alexander
 polynomial is not a unit, so equality is decided by cross-multiplied
-divisibility instead.  V - tV^T is a pencil A - tA^T with A = V, so its
-adjugate is adjugate_laurent(V.rows) from the integer pencil core in
-seifert (one substitution t = X for a large power of two X, one
-fraction-free Gauss-Jordan elimination there, and each entry read off as
-base-X digits); its determinant is t^(n/2) Delta for the size n, from the
-Alexander polynomial the matrix kept when it was validated.  Both are
-computed once per matrix and shared by every pairing of that matrix.  A
-pairing is one more substitution: the coordinates and the adjugate entries
-are evaluated at a power of two, the products summed as integers, and the
-sum read back as base-X digits.  Coordinates must have integer
-coefficients.
+divisibility instead.  The denominator is t^(n/2) Delta for the size n,
+from the Alexander polynomial the matrix kept when it was validated.  The
+numerator of a pairing is (t - 1) v^T adj(V - tV^T) bar(w), and by the
+Cauchy expansion v^T adj(M) u = -det [[M, u], [v^T, 0]], so it is one
+bordered determinant of the pencil, det_bordered(V.rows, v, bar(w)) from
+the integer pencil core in seifert.  The Gram matrix of the standard
+generators is the whole adjugate, adjugate_laurent(V.rows), taken once.
+Coordinates must have integer coefficients.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .laurent import LaurentPoly, is_multiple
-from .seifert import (
-    SeifertMatrix,
-    _as_laurent,
-    _digits,
-    _radix,
-    adjugate_laurent,
-    alexander,
-    det_laurent,
-)
+from .seifert import SeifertMatrix, adjugate_laurent, alexander, det_bordered, det_laurent
 
 T_MINUS_1 = LaurentPoly({1: 1, 0: -1})
 
@@ -67,20 +55,6 @@ def fractions_equal(f: TorsionFraction, g: TorsionFraction) -> bool:
     return is_multiple(f.num * g.den - g.num * f.den, f.den * g.den)
 
 
-@lru_cache(maxsize=1)
-def _pencil_inverse(V: SeifertMatrix):
-    """(adj, det) of V - tV^T, so (V - tV^T)^-1 = adj / det.
-
-    det(V - tV^T) = det(tV - V^T) = t^(n/2) Delta for the even size n, so
-    only the adjugate is eliminated here.  Cached for the last matrix: the
-    suites and gram_matrix pair many elements of one module in a row.  The
-    adjugate is a tuple of tuples so that no caller can change the cached
-    value.
-    """
-    adj = tuple(tuple(row) for row in adjugate_laurent(V.rows))
-    return adj, alexander(V).shift(V.size // 2)
-
-
 def _as_coords(v, n):
     coords = [c if isinstance(c, LaurentPoly) else LaurentPoly.const(c) for c in v]
     if len(coords) != n:
@@ -92,62 +66,30 @@ def _as_coords(v, n):
     return coords
 
 
-def _norm(p: LaurentPoly) -> int:
-    return sum(map(abs, p.terms.values()))
-
-
-def _at(p: LaurentPoly, low: int, k: int) -> int:
-    """t^-low p at t = 2^k; low is at most p's lowest exponent."""
-    return sum(c << k * (e - low) for e, c in p.terms.items())
+def _denominator(V: SeifertMatrix) -> LaurentPoly:
+    """det(V - tV^T) = det(tV - V^T) = t^(n/2) Delta for the even size n."""
+    if V.size == 0:
+        raise ValueError("the 0x0 matrix presents the trivial module")
+    return alexander(V).shift(V.size // 2)
 
 
 def pairing(V: SeifertMatrix, v, w) -> TorsionFraction:
     """The sesquilinear pairing v^T (t-1) (V - tV^T)^-1 bar(w) as an exact
     fraction with denominator det(V - tV^T).
 
-    The sum s = sum_ij v_i adj_ij bar(w_j) is taken by one substitution
-    t = X: every coefficient of s is at most
-    B = sum_ij |v_i|_1 |adj_ij|_1 |w_j|_1, so for a power of two X > 2B the
-    signed base-X digits of the integer sum are the coefficients of s.
+    The numerator is (t - 1) v^T adj(V - tV^T) bar(w), which is
+    -(t - 1) det [[V - tV^T, bar(w)], [v^T, 0]].
     """
-    if V.size == 0:
-        raise ValueError("the 0x0 matrix presents the trivial module")
-    n = V.size
-    v = _as_coords(v, n)
-    w = _as_coords(w, n)
-    adj, den = _pencil_inverse(V)
-    vs = [(i, c) for i, c in enumerate(v) if c.terms]
-    ws = [(j, c.bar()) for j, c in enumerate(w) if c.terms]
-    w_norms = [(j, _norm(c)) for j, c in ws]
-    bound = sum(_norm(c) * sum(_norm(adj[i][j]) * m for j, m in w_norms) for i, c in vs)
-    if not bound:
-        return TorsionFraction(LaurentPoly.zero(), den)
-    X = _radix(bound)
-    k = X.bit_length() - 1
-    v_exps = [e for _, c in vs for e in c.terms]
-    w_exps = [e for _, c in ws for e in c.terms]
-    adj_exps = [e for row in adj for p in row for e in p.terms]
-    v_low, w_low, adj_low, adj_high = min(v_exps), min(w_exps), min(adj_exps), max(adj_exps)
-    w_at = [(j, _at(c, w_low, k)) for j, c in ws]
-    total = 0
-    for i, c in vs:
-        adj_row = adj[i]
-        total += _at(c, v_low, k) * sum(_at(adj_row[j], adj_low, k) * x for j, x in w_at)
-    count = (max(v_exps) - v_low) + (adj_high - adj_low) + (max(w_exps) - w_low) + 1
-    s = _as_laurent(_digits(total, X, count), v_low + adj_low + w_low)
-    return TorsionFraction(T_MINUS_1 * s, den)
+    den = _denominator(V)
+    v = _as_coords(v, V.size)
+    w_bar = [c.bar() for c in _as_coords(w, V.size)]
+    return TorsionFraction(T_MINUS_1 * -det_bordered(V.rows, v, w_bar), den)
 
 
 def gram_matrix(V: SeifertMatrix):
     """All pairings of the standard generators, as a matrix of fractions."""
-    if V.size == 0:
-        raise ValueError("the 0x0 matrix presents the trivial module")
-    adj, den = _pencil_inverse(V)
-    n = V.size
-    return [
-        [TorsionFraction(T_MINUS_1 * adj[i][j], den) for j in range(n)]
-        for i in range(n)
-    ]
+    den = _denominator(V)
+    return [[TorsionFraction(T_MINUS_1 * a, den) for a in row] for row in adjugate_laurent(V.rows)]
 
 
 def _check_literal_border(outer: SeifertMatrix, inner: SeifertMatrix) -> int:

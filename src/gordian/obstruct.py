@@ -549,10 +549,12 @@ def _cc_bar_witness(
     s1: _Side, s2: _Side, bounds: SearchBounds, quad: CriterionResult
 ) -> CriterionResult:
     """Hypotheses: distinct polynomials and a side with a certified u_a = 1.
-    Searches a finite window for c with +-Delta' - c bar(c) a multiple of that
-    side's Delta; a witness shows the criterion cannot obstruct.  It certifies
-    no bound of its own: it obstructs only when the quadratic-form criterion
-    (``quad``) already did."""
+    Searches a finite window for c with +-Delta' - c bar(c) a multiple of the
+    Delta of each such side in argument order, Delta' being the other side's;
+    the first witness shows the criterion cannot obstruct, so the verdict
+    does not depend on the order of the pair.  It certifies no bound of its
+    own: it obstructs only when the quadratic-form criterion (``quad``)
+    already did."""
     name = "cc-bar-witness"
     sides = [s for s in (s1, s2) if s.ua_one_certificate is not None]
     if not sides or s1.delta == s2.delta:
@@ -561,17 +563,17 @@ def _cc_bar_witness(
     if quad.verdict == "Obstructs":
         implied = "no witness exists: implied by the quadratic-form refutation"
         return CriterionResult(name, True, "Obstructs", implied)
-    side = sides[0]
-    other = s2 if side is s1 else s1
     max_breadth, max_coeff = bounds.cc_max_breadth, bounds.cc_max_coeff
-    witness = cc_bar_witness_search(side.delta, other.delta, max_breadth, max_coeff)
-    if witness is None:
-        window = f"breadth <= {max_breadth}, coefficients <= {max_coeff}"
-        return CriterionResult(name, True, "Inconclusive", f"no witness with {window}")
-    c, sign = witness.c, witness.sign
-    assert is_multiple(sign * other.delta - c * c.bar(), side.delta)
-    found = f"mod {side.label}: c = {c}, sign = {sign:+d}"
-    return CriterionResult(name, True, "NoObstruction", found)
+    for side in sides:
+        other = s2 if side is s1 else s1
+        witness = cc_bar_witness_search(side.delta, other.delta, max_breadth, max_coeff)
+        if witness is not None:
+            c, sign = witness.c, witness.sign
+            assert is_multiple(sign * other.delta - c * c.bar(), side.delta)
+            found = f"mod {side.label}: c = {c}, sign = {sign:+d}"
+            return CriterionResult(name, True, "NoObstruction", found)
+    window = f"breadth <= {max_breadth}, coefficients <= {max_coeff}"
+    return CriterionResult(name, True, "Inconclusive", f"no witness with {window}")
 
 
 def _murakami(s1: _Side, s2: _Side) -> CriterionResult:

@@ -7,12 +7,15 @@ Bareiss fraction-free elimination, and the signature comes from
 fraction-free symmetric elimination of V + V^T.
 
 Every polynomial matrix in gordian is a pencil A - tA^T for an integer
-matrix A: the presentation V - tV^T, its cofactors, and the bordered
-blocks the verify suites expand.  det_laurent(A) and adjugate_laurent(A)
+matrix A, possibly bordered by one row and column of Laurent polynomials:
+the presentation V - tV^T, its cofactors, the bordered blocks the verify
+suites expand, and the bordered pencil whose determinant is the pairing's
+numerator.  det_laurent(A), adjugate_laurent(A) and det_bordered(A, v, u)
 take that integer A.  Each substitutes t = X once, for a power of two X
 above twice the Hadamard bound on the coefficients, eliminates the integer
-matrix A - XA^T, and reads the coefficients off as the signed base-X
-digits of the result (Kronecker substitution).
+matrix A - XA^T (with its border at t = X), and reads the coefficients off
+as the signed base-X digits of the result (Kronecker substitution).  This
+module is the only one that knows that packing.
 
 Each matrix is eliminated once: the constructor takes det(V - tV^T) this
 way, checks that its coefficients sum to det(V - V^T) = 1, and keeps the
@@ -158,10 +161,10 @@ def parse_matrix_text(text: str) -> SeifertMatrix:
 # -- the integer pencil core -------------------------------------------------
 #
 # Every polynomial matrix here is a pencil A - tA^T with A an integer matrix,
-# so its determinant and adjugate are found from one integer matrix
-# (Kronecker substitution): substitute t = X for a power of two X above twice
-# any coefficient the answer can have, take a Bareiss determinant (or, for
-# the adjugate, one fraction-free Gauss-Jordan elimination), and read the
+# bordered or not, so its determinant and adjugate are found from one integer
+# matrix (Kronecker substitution): substitute t = X for a power of two X above
+# twice any coefficient the answer can have, take a Bareiss determinant (or,
+# for the adjugate, one fraction-free Gauss-Jordan elimination), and read the
 # coefficients off as the signed base-X digits of the result.
 
 
@@ -230,6 +233,42 @@ def _pencil_det(A):
 def det_laurent(A) -> LaurentPoly:
     """det(A - tA^T) for a square integer matrix A."""
     return _as_laurent(_pencil_det(A), 0)
+
+
+def _at(p: LaurentPoly, low: int, k: int) -> int:
+    """t^-low p at t = 2^k; low is at most p's lowest exponent."""
+    return sum(c << k * (e - low) for e, c in p.terms.items())
+
+
+def det_bordered(A, v, u) -> LaurentPoly:
+    """det [[A - tA^T, u], [v^T, 0]] for an n x n integer matrix A and
+    length-n vectors v, u of Laurent polynomials with integer coefficients.
+
+    By the Cauchy expansion this is -v^T adj(A - tA^T) u.  v and u are
+    shifted to start at exponent 0, so the determinant has at most
+    n + breadth(v) + breadth(u) coefficients, all within the Hadamard bound
+    of the bordered matrix (a border entry counts with its 1-norm); one
+    Bareiss determinant at t = X reads them off.
+    """
+    if len(v) != len(A) or len(u) != len(A):
+        raise ValueError(f"border vectors must have length {len(A)}")
+    v_exps = [e for p in v for e in p.terms]
+    u_exps = [e for p in u for e in p.terms]
+    if not v_exps or not u_exps:
+        return _from_terms({})
+    v_low, u_low = min(v_exps), min(u_exps)
+    cols = tuple(zip(*A))
+    norms = [
+        [abs(a) + abs(b) for a, b in zip(row, col)] + [sum(map(abs, p.terms.values()))]
+        for row, col, p in zip(A, cols, u)
+    ]
+    norms.append([sum(map(abs, p.terms.values())) for p in v] + [0])
+    X = _radix(_hadamard(norms))
+    k = X.bit_length() - 1
+    values = [[a - X * b for a, b in zip(row, col)] + [_at(p, u_low, k)] for row, col, p in zip(A, cols, u)]
+    values.append([_at(p, v_low, k) for p in v] + [0])
+    count = len(A) + max(v_exps) - v_low + max(u_exps) - u_low
+    return _as_laurent(_digits(_bareiss(values), X, count), v_low + u_low)
 
 
 def _adjugate_int(a):

@@ -368,37 +368,34 @@ def quadform_oracle_values(h: int, box: int = QUADFORM_ORACLE_BOX, limit: int = 
     return values
 
 
-def suite_quadform_oracle(seed: int, iters: int = 0) -> SuiteResult:
+QUADFORM_GRID = tuple(
+    (h, d) for h in QUADFORM_H_VALUES for d in range(-QUADFORM_D_LIMIT, QUADFORM_D_LIMIT + 1) if d
+)
+
+
+def suite_quadform_oracle(seed: int, iters: int = len(QUADFORM_GRID)) -> SuiteResult:
     """The decision procedure agrees with double-loop brute force on the
-    whole grid h in {1,2,3,5,7}, 0 < |d| <= 50.  The grid is fixed; seed
-    and iteration count are accepted for interface uniformity."""
-    checked = 0
-    for h in QUADFORM_H_VALUES:
-        table = quadform_oracle_values(h)
-        for d in range(-QUADFORM_D_LIMIT, QUADFORM_D_LIMIT + 1):
-            if d == 0:
-                continue
-            verdict = quadform_represents(h, d)
-            expected = "witness" if abs(d) in table else "refuted"
-            if verdict.outcome != expected:
-                return SuiteResult(
-                    "quadform-oracle",
-                    seed,
-                    checked + 1,
-                    1,
-                    f"h = {h}, d = {d}: procedure says {verdict.outcome}, oracle says {expected}",
-                )
-            if verdict.outcome == "witness":
-                if form_value(h, verdict.x, verdict.y) != verdict.sign * d:
-                    return SuiteResult(
-                        "quadform-oracle",
-                        seed,
-                        checked + 1,
-                        1,
-                        f"h = {h}, d = {d}: witness does not substitute back",
-                    )
-            checked += 1
-    return SuiteResult("quadform-oracle", seed, checked, 0)
+    grid h in {1,2,3,5,7}, 0 < |d| <= 50.  Case i is grid point i (cycling
+    past the end); the default count is the whole grid.  The seed draws
+    nothing and is accepted for interface uniformity.  Each h's oracle
+    table is built once per run, when a case first needs it."""
+    tables = {}
+
+    def draw(_, i):
+        return QUADFORM_GRID[i % len(QUADFORM_GRID)]
+
+    def check(case):
+        h, d = case
+        if h not in QUADFORM_H_VALUES or not d:
+            return True  # off the grid: a shrunk case must stay on it
+        if h not in tables:
+            tables[h] = quadform_oracle_values(h)
+        verdict = quadform_represents(h, d)
+        if verdict.outcome == "witness":
+            return abs(d) in tables[h] and form_value(h, verdict.x, verdict.y) == verdict.sign * d
+        return verdict.outcome == "refuted" and abs(d) not in tables[h]
+
+    return _loop("quadform-oracle", seed, iters, draw, check, lambda c: f"h = {c[0]}, d = {c[1]}")
 
 
 SUITES = {

@@ -572,3 +572,71 @@ class TestCriteria:
             monkeypatch.setattr(obstruct, name, counting)
         _corpus_reports()
         assert all(counts.values()), counts
+
+
+GENERATOR_SEEDS = (1, 2, 3, 4, 5)
+
+
+@pytest.fixture(scope="module")
+def swapped_reports():
+    """(report, report of the swapped pair) for the report generator's pairs
+    at seeds 1-5, 120 pairs each, less the pairs that raise in either order
+    because a supplied u_a contradicts a certified bound."""
+    out = []
+    for seed in GENERATOR_SEEDS:
+        for a, b, u1, u2, _, _ in corpus(seed, 120):
+            try:
+                out.append(
+                    (
+                        build_report(a, b, ua1=u1, ua2=u2, bounds=SMALL),
+                        build_report(b, a, ua1=u2, ua2=u1, bounds=SMALL),
+                    )
+                )
+            except ValueError:
+                pass
+    return out
+
+
+def _criterion(report, name):
+    return next(c for c in report.criteria if c.name == name)
+
+
+class TestOrderFree:
+    def test_cc_bar_verdict_is_the_same_in_both_orders(self, swapped_reports):
+        # the window is searched modulo every side with a certified u_a = 1
+        assert len(swapped_reports) > 500
+        witnessed = 0
+        for r12, r21 in swapped_reports:
+            v12, v21 = (_criterion(r, "cc-bar-witness").verdict for r in (r12, r21))
+            assert v12 == v21, (r12.label1, r12.label2)
+            witnessed += v12 == "NoObstruction"
+        assert witnessed
+
+    def test_search_covers_the_second_side(self):
+        # only the second side's polynomial is a modulus with a witness
+        delta1, delta2 = P("-2t+5-2t^-1"), P("t-1+t^-1")
+        for args in ((delta1, delta2, 1, None), (delta2, delta1, None, 1)):
+            report = build_report(*args[:2], ua1=args[2], ua2=args[3], bounds=SearchBounds(2, 2, 60))
+            cc = _criterion(report, "cc-bar-witness")
+            assert (cc.verdict, cc.certificate) == ("NoObstruction", "mod t-1+t^-1: c = t+1, sign = +1")
+
+
+class TestParityAddsNoBound:
+    """When parity obstructs, the modulus is t-1+t^-1 = h_form(1) and the
+    remainder is the constant residue d = 2 + 4m.  x^2 + xy + y^2 is only
+    ever 0, 1 or 3 mod 4, so the form never takes +-d: quadratic-form
+    refutes too, and certifies the same rho_lower 2."""
+
+    def test_form_misses_two_mod_four(self):
+        residues = {form_value(1, x, y) % 4 for x in range(4) for y in range(4)}
+        assert residues == {0, 1, 3}
+
+    def test_quadratic_form_certifies_every_parity_bound(self, swapped_reports):
+        reports = _corpus_reports() + [r for pair in swapped_reports for r in pair]
+        fired = 0
+        for report in reports:
+            if _criterion(report, "parity").verdict == "Obstructs":
+                fired += 1
+                quad = _criterion(report, "quadratic-form")
+                assert quad.verdict == "Obstructs" and quad.rho_lower == 2, report.format()
+        assert fired > 40

@@ -1,8 +1,8 @@
 """The Kronecker substitution core of gordian.seifert against the oracles.
 
-Every polynomial matrix is a pencil A - tA^T of an integer matrix A.  Its
-determinant or adjugate is one integer computation at t = X, read back as
-signed base-X digits; these tests check the digit reader, the coefficient
+Every polynomial matrix is a pencil A - tA^T of an integer matrix A, bordered
+or not.  Its determinant or adjugate is one integer computation at t = X,
+read back as signed base-X digits; these tests check the digit reader, the coefficient
 bound behind X, and the results against cofactor expansion of the pencil's
 Laurent entries.
 """
@@ -18,6 +18,7 @@ from gordian.seifert import (
     _digits,
     adjugate_laurent,
     alexander,
+    det_bordered,
     det_laurent,
 )
 from gordian.verify import random_seifert
@@ -214,6 +215,70 @@ class TestAdjugateLaurent:
             adjugate_laurent([[LaurentPoly({0: 1, 1: -1})]])
 
 
+def random_border(rng, n, bound=BIG):
+    """n Laurent polynomials with exponents -3..3, about a quarter of them zero."""
+    out = []
+    for _ in range(n):
+        if rng.random() < 0.25:
+            out.append(LaurentPoly.zero())
+        else:
+            exps = rng.sample(range(-3, 4), rng.randint(1, 4))
+            out.append(LaurentPoly({e: rng.randint(-bound, bound) or 1 for e in exps}))
+    return out
+
+
+def bordered_entries(A, v, u):
+    """[[A - tA^T, u], [v^T, 0]] as Laurent entries."""
+    rows = [row + [p] for row, p in zip(pencil_entries(A), u)]
+    return rows + [list(v) + [LaurentPoly.zero()]]
+
+
+class TestDetBordered:
+    def test_against_cofactors_sizes_0_to_10(self):
+        rng = random.Random(57)
+        for n in range(11):
+            for _ in range(3 if n < 8 else 1):
+                A = random_matrix(rng, n)
+                v, u = random_border(rng, n), random_border(rng, n)
+                assert det_bordered(A, v, u) == det_by_cofactors(bordered_entries(A, v, u))
+
+    def test_zero_borders(self):
+        rng = random.Random(58)
+        assert det_bordered([], [], []).is_zero
+        for n in range(1, 7):
+            A = random_matrix(rng, n)
+            v = random_border(rng, n)
+            v[0] = LaurentPoly({-2: BIG})
+            zero = [LaurentPoly.zero()] * n
+            assert det_bordered(A, v, zero).is_zero
+            assert det_bordered(A, zero, v).is_zero
+
+    def test_cauchy_expansion(self):
+        # -det [[M, e_j], [e_i^T, 0]] is the (i, j) entry of adj(M)
+        rng = random.Random(59)
+        one, zero = LaurentPoly.one(), LaurentPoly.zero()
+        for n in range(1, 6):
+            A = random_matrix(rng, n)
+            adj = adjugate_by_cofactors(pencil_entries(A))
+            for i in range(n):
+                for j in range(n):
+                    e_i = [one if k == i else zero for k in range(n)]
+                    e_j = [one if k == j else zero for k in range(n)]
+                    assert -det_bordered(A, e_i, e_j) == adj[i][j]
+
+    def test_singular_pencil(self):
+        # no adjugate exists, but the bordered determinant does
+        rng = random.Random(60)
+        for n in range(1, 7):
+            A = symmetric_singular(rng, n)
+            v, u = random_border(rng, n), random_border(rng, n)
+            assert det_bordered(A, v, u) == det_by_cofactors(bordered_entries(A, v, u))
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length 2"):
+            det_bordered([[1, 0], [0, 1]], [LaurentPoly.one()], [LaurentPoly.one()] * 2)
+
+
 class TestAdjugateInt:
     """The integer adjugate by one fraction-free Gauss-Jordan elimination,
     which refuses a singular matrix."""
@@ -291,6 +356,11 @@ class TestRadixTooSmall:
         monkeypatch.setattr(seifert, "_radix", lambda norms: 4)
         with pytest.raises(AssertionError, match="radix"):
             adjugate_laurent([[1, 1], [1, 1000]])
+
+    def test_det_bordered(self, monkeypatch):
+        monkeypatch.setattr(seifert, "_radix", lambda norms: 4)
+        with pytest.raises(AssertionError, match="radix"):
+            det_bordered([[1000]], [LaurentPoly({-1: 7})], [LaurentPoly({2: 9})])
 
     def test_alexander(self, monkeypatch):
         # the Alexander polynomial is read off while the matrix is validated

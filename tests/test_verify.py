@@ -1,10 +1,14 @@
 import pytest
 
+from gordian import verify
 from gordian.cli import main
+from gordian.obstruct import QuadFormVerdict
 from gordian.verify import (
+    QUADFORM_GRID,
     SUITES,
     SuiteResult,
     minimize_case,
+    quadform_oracle_values,
     random_seifert,
     random_seifert_rows,
     random_unimodular,
@@ -87,9 +91,20 @@ class TestSuiteRunner:
             with pytest.raises(ValueError, match="at least 1"):
                 run_suite(name, 0, iters)
 
-    def test_quadform_oracle_ignores_the_count(self):
-        # its grid is fixed; a count is accepted for interface uniformity
-        assert run_suite("quadform-oracle", 0, 2) == run_suite("quadform-oracle", 0)
+    def test_quadform_oracle_checks_count_grid_points(self):
+        # case i is grid point i; the default count is the whole grid
+        assert run_suite("quadform-oracle", 0, 3) == SuiteResult("quadform-oracle", 0, 3, 0)
+        assert run_suite("quadform-oracle", 0) == SuiteResult("quadform-oracle", 0, len(QUADFORM_GRID), 0)
+        assert len(QUADFORM_GRID) == 500
+
+    def test_quadform_oracle_reports_a_failure(self, monkeypatch):
+        # a procedure that always refutes is wrong at the first d the form takes
+        monkeypatch.setattr(verify, "quadform_represents", lambda h, d: QuadFormVerdict("refuted"))
+        result = run_suite("quadform-oracle", 0)
+        h, d = QUADFORM_GRID[result.iterations - 1]
+        assert (result.failures, result.counterexample) == (1, f"h = {h}, d = {d}")
+        assert abs(d) in quadform_oracle_values(h)
+        assert all(abs(e) not in quadform_oracle_values(g) for g, e in QUADFORM_GRID[: result.iterations - 1])
 
     def test_deterministic_for_fixed_seed(self):
         a = run_suite("sequiv", seed=9, iters=10)
