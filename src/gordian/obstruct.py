@@ -27,8 +27,6 @@ from .seifert import (
     signature,
 )
 
-TREFOIL_DELTA = h_form(1)
-
 
 class SearchBounds(
     namedtuple(
@@ -192,14 +190,13 @@ class ParityVerdict(namedtuple("ParityVerdict", ("obstructs", "m", "remainder"))
     __slots__ = ()
 
 
-def parity_criterion(delta_prime: LaurentPoly) -> ParityVerdict:
-    """Residue test against the modulus t + t^-1 - 1.
+def parity_criterion(r: LaurentPoly) -> ParityVerdict:
+    """Residue test on the remainder r of a polynomial modulo t + t^-1 - 1.
 
-    Fires exactly when the canonical remainder is an integer congruent to
-    2 mod 4; any polynomial congruent to such a constant cannot be one
-    unknotting step from the modulus class, so the polynomial distance is 2.
+    Fires exactly when r is an integer congruent to 2 mod 4; any polynomial
+    congruent to such a constant cannot be one unknotting step from the
+    modulus class, so the polynomial distance is 2.
     """
-    _, r = divmod_rational(delta_prime, TREFOIL_DELTA)
     if r.is_constant and r.is_integral:
         c = r.constant_value
         if c % 4 == 2:
@@ -207,10 +204,8 @@ def parity_criterion(delta_prime: LaurentPoly) -> ParityVerdict:
     return ParityVerdict(False, None, r)
 
 
-def constant_residue(delta_prime: LaurentPoly, delta: LaurentPoly):
-    """The nonzero integer d with delta_prime = d mod delta, if the canonical
-    remainder is such a constant; otherwise None."""
-    _, r = divmod_rational(delta_prime, delta)
+def constant_residue(r: LaurentPoly):
+    """The remainder r as a nonzero integer, or None when it is not one."""
     if r.is_constant and r.is_integral and not r.is_zero:
         return r.constant_value
     return None
@@ -414,7 +409,9 @@ class _Side(
             "matrix",  # None for a polynomial input
             "sigma",  # None for a polynomial input
             "det",  # |Delta(-1)|, odd since Delta(-1) = Delta(1) = 1 mod 2
+            "h",  # the h with delta = h_form(h), None when there is none
             "ua_one_certificate",  # None when u_a = 1 is not certified
+            "residue",  # the other side's delta mod this delta, see _sides
         ),
     )
 ):
@@ -423,7 +420,7 @@ class _Side(
     __slots__ = ()
 
 
-def _ua_one_certificate(delta: LaurentPoly, matrix: SeifertMatrix | None, ua: int | None):
+def _ua_one_certificate(h: int | None, matrix: SeifertMatrix | None, ua: int | None):
     """The reason this side has u_a = 1, or None when none is known.
 
     A user value of 1 is taken on trust.  Every class whose Alexander
@@ -435,21 +432,12 @@ def _ua_one_certificate(delta: LaurentPoly, matrix: SeifertMatrix | None, ua: in
     """
     if ua == 1:
         return "user supplied u_a = 1"
-    h = _h_form_value(delta)
     if h in SMALL_H:
         if matrix is None:
             return f"every class with this Alexander polynomial has u_a = 1 (h = {h})"
         return f"Alexander polynomial h(t+t^-1)+1-2h with h = {h}"
     if matrix is not None and matrix.size == 2 and h is not None and -h in SMALL_H:
         return f"2x2 matrix with |det V| = {-h}"
-    return None
-
-
-def _h_form_value(delta: LaurentPoly):
-    """The h with delta = h_form(h), or None when there is none."""
-    h = delta.coeff(1)
-    if h and delta == h_form(h):
-        return h
     return None
 
 
@@ -468,8 +456,24 @@ def _make_side(value, ua, label) -> _Side:
         det = abs(value.evaluate(-1))
     else:
         raise TypeError("input must be a SeifertMatrix or a LaurentPoly")
-    certificate = _ua_one_certificate(delta, matrix, ua)
-    return _Side(label or str(delta), delta, matrix, sigma, det, certificate)
+    h = delta.coeff(1)
+    if not h or delta != h_form(h):
+        h = None
+    certificate = _ua_one_certificate(h, matrix, ua)
+    return _Side(label or str(delta), delta, matrix, sigma, det, h, certificate, None)
+
+
+def _sides(input1, input2, ua1, ua2, label1, label2):
+    """Both sides.  When the polynomials differ, a side whose |h| is prime or
+    1 holds the other side's polynomial modulo its own: the criteria's residue."""
+    sides = _make_side(input1, ua1, label1), _make_side(input2, ua2, label2)
+    if sides[0].delta == sides[1].delta:
+        return sides
+    return tuple(
+        mod._replace(residue=divmod_rational(other.delta, mod.delta)[1])
+        if mod.h is not None and _is_prime_or_one(abs(mod.h)) else mod
+        for mod, other in (sides, sides[::-1])
+    )
 
 
 # -- the criteria: each takes the two sides in argument order ------------------------
@@ -487,17 +491,16 @@ def _parity(s1: _Side, s2: _Side) -> CriterionResult:
     """Hypotheses: distinct polynomials, one of them t + t^-1 - 1.  A remainder
     of the other modulo it that is an integer 2 mod 4 gives rho >= 2."""
     parts, fired = [], False
-    if s1.delta != s2.delta:
-        for mod, other in ((s1, s2), (s2, s1)):
-            if mod.delta != TREFOIL_DELTA:
-                continue
-            res = parity_criterion(other.delta)
-            fired = fired or res.obstructs
-            if res.obstructs:
-                detail = f"= 2 + 4*({res.m}), m = {res.m}"
-            else:
-                detail = "is not 2 mod 4"
-            parts.append(f"mod {mod.label}: remainder = {res.remainder} {detail}")
+    for mod in (s1, s2):
+        if mod.h != 1 or mod.residue is None:
+            continue
+        res = parity_criterion(mod.residue)
+        fired = fired or res.obstructs
+        if res.obstructs:
+            detail = f"= 2 + 4*({res.m}), m = {res.m}"
+        else:
+            detail = "is not 2 mod 4"
+        parts.append(f"mod {mod.label}: remainder = {res.remainder} {detail}")
     if not parts:
         return CriterionResult(
             "parity", False, "Inconclusive", "requires distinct polynomials, one equal to t+t^-1-1"
@@ -517,26 +520,23 @@ def _quadratic_form(s1: _Side, s2: _Side, bounds: SearchBounds) -> CriterionResu
     SMALL_H, since then every class with the modulus polynomial has u_a = 1.
     """
     parts, outcomes, rho = [], set(), 0
-    if s1.delta != s2.delta:
-        for mod, other in ((s1, s2), (s2, s1)):
-            h = _h_form_value(mod.delta)
-            if h is None or not _is_prime_or_one(abs(h)):
-                continue
-            d = constant_residue(other.delta, mod.delta)
-            if d is None or mod.ua_one_certificate is None:
-                continue
-            v = quadform_represents(h, d, bounds.quadform_bound)
-            outcomes.add(v.outcome)
-            if v.outcome == "refuted":
-                detail = "no integer solution (exhaustive box)"
-                rho = 2 if h in SMALL_H else rho
-            elif v.outcome == "witness":
-                assert form_value(h, v.x, v.y) == v.sign * d
-                detail = f"witness x = {v.x}, y = {v.y} gives {v.sign * d}"
-            else:
-                detail = f"inconclusive up to |x| <= {v.searched_bound}"
-            cert = mod.ua_one_certificate
-            parts.append(f"mod {mod.label}: h = {h}, d = {d}: {detail} [u_a certificate: {cert}]")
+    for mod in (s1, s2):
+        if mod.residue is None:
+            continue
+        h, d, cert = mod.h, constant_residue(mod.residue), mod.ua_one_certificate
+        if d is None or cert is None:
+            continue
+        v = quadform_represents(h, d, bounds.quadform_bound)
+        outcomes.add(v.outcome)
+        if v.outcome == "refuted":
+            detail = "no integer solution (exhaustive box)"
+            rho = 2 if h in SMALL_H else rho
+        elif v.outcome == "witness":
+            assert form_value(h, v.x, v.y) == v.sign * d
+            detail = f"witness x = {v.x}, y = {v.y} gives {v.sign * d}"
+        else:
+            detail = f"inconclusive up to |x| <= {v.searched_bound}"
+        parts.append(f"mod {mod.label}: h = {h}, d = {d}: {detail} [u_a certificate: {cert}]")
     name, certificate = "quadratic-form", "; ".join(parts) if parts else "hypotheses not met"
     if "refuted" in outcomes:
         return CriterionResult(name, True, "Obstructs", certificate, rho_lower=rho, dga_lower=2)
@@ -621,7 +621,7 @@ def build_report(
     for ua in (ua1, ua2):
         if ua is not None and ua < 0:
             raise ValueError("u_a values must be nonnegative")
-    s1, s2 = _make_side(input1, ua1, label1), _make_side(input2, ua2, label2)
+    s1, s2 = _sides(input1, input2, ua1, ua2, label1, label2)
     alex, parity = _alexander_distance(s1, s2), _parity(s1, s2)
     quad = _quadratic_form(s1, s2, bounds)
     cc_bar = _cc_bar_witness(s1, s2, bounds, quad)

@@ -8,7 +8,7 @@ see the lines, or rely on the per-test PASSED/FAILED report.
 import time
 
 from gordian.cli import main
-from gordian.laurent import LaurentPoly
+from gordian.laurent import LaurentPoly, divmod_rational
 from gordian.obstruct import (
     build_report,
     murakami_obstruction,
@@ -58,7 +58,7 @@ def test_criterion_1_end_to_end_obstruct(capsys):
     parity = next(c for c in report.criteria if c.name == "parity")
     assert parity.verdict == "Obstructs"
     assert "remainder = -2 = 2 + 4*(-1)" in parity.certificate
-    res = parity_criterion(DELTA_9_25)
+    res = parity_criterion(divmod_rational(DELTA_9_25, DELTA_3_1)[1])
     assert res.obstructs and res.m == -1 and res.remainder == LaurentPoly.const(-2)
     for line in (
         "rho_lower: 2",

@@ -10,7 +10,6 @@ from gordian.laurent import LaurentPoly, divmod_rational, is_multiple
 from gordian.seifert import KnotInvariants, SeifertMatrix, check_alexander, h_form
 from gordian.obstruct import (
     SearchBounds,
-    TREFOIL_DELTA,
     build_report,
     cc_bar_witness_search,
     constant_residue,
@@ -27,6 +26,12 @@ from test_report_text import SMALL, both_orders, corpus
 P = LaurentPoly.parse
 
 DELTA_9_25 = P("-3t^2+12t-17+12t^-1-3t^-2")
+TREFOIL_DELTA = h_form(1)
+
+
+def trefoil_remainder(delta):
+    """The canonical remainder of delta modulo t + t^-1 - 1."""
+    return divmod_rational(delta, TREFOIL_DELTA)[1]
 
 
 class TestQuadform:
@@ -85,13 +90,13 @@ class TestQuadform:
 
 class TestParityCriterion:
     def test_bundled_pair(self):
-        res = parity_criterion(DELTA_9_25)
+        res = parity_criterion(trefoil_remainder(DELTA_9_25))
         assert res.obstructs
         assert res.m == -1
         assert res.remainder == LaurentPoly.const(-2)
 
     def test_self_not_applicable(self):
-        res = parity_criterion(TREFOIL_DELTA)
+        res = parity_criterion(trefoil_remainder(TREFOIL_DELTA))
         assert not res.obstructs
         assert res.remainder == LaurentPoly.zero()
 
@@ -99,7 +104,7 @@ class TestParityCriterion:
         delta = P("-t+3-t^-1")
         _, remainder = divmod_rational(delta, TREFOIL_DELTA)
         assert remainder == LaurentPoly.const(2)
-        res = parity_criterion(delta)
+        res = parity_criterion(remainder)
         assert res.obstructs and res.m == 0
         # the parity verdict must agree with the exhaustive search
         assert quadform_represents(1, remainder.constant_value).outcome == "refuted"
@@ -111,7 +116,7 @@ class TestParityCriterion:
             delta = LaurentPoly(
                 {e: rng.randint(-6, 6) for e in range(-3, 4) if rng.random() < 0.5}
             )
-            res = parity_criterion(delta)
+            res = parity_criterion(trefoil_remainder(delta))
             if res.obstructs:
                 seen += 1
                 d = res.remainder.constant_value
@@ -120,8 +125,8 @@ class TestParityCriterion:
         assert seen > 0
 
     def test_constant_residue(self):
-        assert constant_residue(DELTA_9_25, TREFOIL_DELTA) == -2
-        assert constant_residue(TREFOIL_DELTA, TREFOIL_DELTA) is None
+        assert constant_residue(trefoil_remainder(DELTA_9_25)) == -2
+        assert constant_residue(trefoil_remainder(TREFOIL_DELTA)) is None
 
 
 class TestCcBarSearch:

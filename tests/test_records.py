@@ -84,11 +84,12 @@ RECORDS = [
         "dga_lower=1, dga_upper=None, dg_lower=1)",
     ),
     (
-        _Side("3_1", TREFOIL, TREFOIL_MATRIX, -2, 3, "cert"),
-        ("label", "delta", "matrix", "sigma", "det", "ua_one_certificate"),
+        _Side("3_1", TREFOIL, TREFOIL_MATRIX, -2, 3, 1, "cert", None),
+        ("label", "delta", "matrix", "sigma", "det", "h", "ua_one_certificate", "residue"),
         {},
         "_Side(label='3_1', delta=LaurentPoly('t-1+t^-1'), "
-        "matrix=SeifertMatrix([[-1, 1], [0, -1]]), sigma=-2, det=3, ua_one_certificate='cert')",
+        "matrix=SeifertMatrix([[-1, 1], [0, -1]]), sigma=-2, det=3, h=1, "
+        "ua_one_certificate='cert', residue=None)",
     ),
     (
         KnotInvariants(TREFOIL, -2, 3),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gordian.laurent import LaurentPoly
-from gordian.obstruct import _ua_one_certificate
+from gordian.obstruct import _make_side, _ua_one_certificate
 from gordian.seifert import (
     BORDER_VARIANTS,
     InvalidMatrixError,
@@ -498,15 +498,22 @@ class TestUaIsOne:
 
     @staticmethod
     def certificate(V):
-        return _ua_one_certificate(alexander(V), V, None)
+        return _make_side(V, None, None).ua_one_certificate
 
     def test_trefoil_by_polynomial(self):
         assert self.certificate(TREFOIL) == "Alexander polynomial h(t+t^-1)+1-2h with h = 1"
         # the same polynomial without a matrix, and a user value, word it otherwise
-        assert _ua_one_certificate(alexander(TREFOIL), None, None) == (
+        assert self.certificate(alexander(TREFOIL)) == (
             "every class with this Alexander polynomial has u_a = 1 (h = 1)"
         )
-        assert _ua_one_certificate(alexander(TREFOIL), TREFOIL, 1) == "user supplied u_a = 1"
+        assert _ua_one_certificate(1, TREFOIL, 1) == "user supplied u_a = 1"
+
+    def test_h_is_read_once_per_side(self):
+        assert _make_side(TREFOIL, None, None).h == 1
+        assert _make_side(FIG8, None, None).h == -1
+        assert _make_side(h_form(-6), None, None).h == -6
+        assert _make_side(LaurentPoly.const(1), None, None).h is None
+        assert _make_side(LaurentPoly.parse("t^2-t+1-t^-1+t^-2"), None, None).h is None
 
     def test_h_form_values(self):
         for h in (1, 2, 3, 5):
