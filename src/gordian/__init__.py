@@ -10,6 +10,7 @@ from .seifert import (
     congruent_transform,
     det_int,
     det_laurent,
+    double_cover_cyclic,
     enlarge,
     h_form,
     knot_determinant,

@@ -22,6 +22,7 @@ from .seifert import (
     SeifertMatrix,
     alexander,
     check_alexander,
+    double_cover_cyclic,
     h_form,
     knot_determinant,
     signature,
@@ -423,12 +424,16 @@ class _Side(
 def _ua_one_certificate(h: int | None, matrix: SeifertMatrix | None, ua: int | None):
     """The reason this side has u_a = 1, or None when none is known.
 
-    A user value of 1 is taken on trust.  Every class whose Alexander
-    polynomial is h_form(h) with h in SMALL_H has u_a = 1; a matrix side
-    words this as its polynomial's h.  A 2x2 Seifert matrix
+    A user value of 1 is taken on trust (``_make_side`` has rejected it
+    for a matrix whose double cover has non-cyclic H1).  Every class whose
+    Alexander polynomial is h_form(h) with h in SMALL_H has u_a = 1; a
+    matrix side words this as its polynomial's h.  A 2x2 Seifert matrix
     V = [[a, b], [c, d]] has Delta = h_form(det V), since
     (b - c)^2 = det(V - V^T) = 1, so its rule |det V| in SMALL_H reads
-    h = det V off the same polynomial, and no determinant is taken.
+    h = det V off the same polynomial.  It certifies only when H1 of the
+    double branched cover is cyclic, tested last: a non-cyclic H1 forces
+    u_a >= 2 (Nakanishi, "A note on unknotting number", 1981), as for
+    det V = -2 with V + V^T = 0 mod 3.
     """
     if ua == 1:
         return "user supplied u_a = 1"
@@ -437,7 +442,8 @@ def _ua_one_certificate(h: int | None, matrix: SeifertMatrix | None, ua: int | N
             return f"every class with this Alexander polynomial has u_a = 1 (h = {h})"
         return f"Alexander polynomial h(t+t^-1)+1-2h with h = {h}"
     if matrix is not None and matrix.size == 2 and h is not None and -h in SMALL_H:
-        return f"2x2 matrix with |det V| = {-h}"
+        if double_cover_cyclic(matrix):
+            return f"2x2 matrix with |det V| = {-h}"
     return None
 
 
@@ -456,6 +462,11 @@ def _make_side(value, ua, label) -> _Side:
         det = abs(value.evaluate(-1))
     else:
         raise TypeError("input must be a SeifertMatrix or a LaurentPoly")
+    if ua == 1 and matrix is not None and not double_cover_cyclic(matrix):
+        raise ValueError(
+            f"u_a = 1 is impossible for {label or delta}: "
+            "H1 of its double branched cover is not cyclic"
+        )
     h = delta.coeff(1)
     if not h or delta != h_form(h):
         h = None

@@ -26,7 +26,7 @@ determinant |Delta(-1)| are then read from that polynomial.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import isqrt
+from math import gcd, isqrt
 from operator import index, mul
 
 from .laurent import LaurentPoly, _from_terms
@@ -389,6 +389,19 @@ def knot_determinant(V: SeifertMatrix) -> int:
     d = abs(V._delta.evaluate(-1))
     assert d % 2 == 1, "knot determinant must be odd"
     return d
+
+
+def double_cover_cyclic(V: SeifertMatrix) -> bool:
+    """Whether H1 of the double branched cover, coker(V + V^T), is cyclic.
+
+    V + V^T is nonsingular, since its determinant is +-Delta(-1), which is
+    odd.  The gcd of its (n-1)-minors, the entries of its adjugate, is the
+    product of all but the last invariant factor, so it is 1 exactly when
+    the cokernel is cyclic.  The 0x0 matrix gives the trivial group.
+    """
+    if not V.size:
+        return True
+    return gcd(*(x for row in _adjugate_int(_symmetrised(V)) for x in row)) == 1
 
 
 def check_alexander(delta: LaurentPoly) -> LaurentPoly:

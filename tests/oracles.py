@@ -5,7 +5,8 @@ the number theory in ``gordian.numtheory``: determinants by cofactor
 expansion over the Laurent ring, the pairing numerator multiplied out entry
 by entry, the signature by congruence diagonalisation over the rationals,
 and the Murakami condition and the quadratic form by linear scans.  The
-cc-bar search runs the whole window, reversal pairs included.
+cc-bar search runs the whole window, reversal pairs included, and the
+cyclicity of the double cover's H1 is read off ranks modulo primes.
 """
 
 import itertools
@@ -111,6 +112,47 @@ def signature_over_q(V) -> int:
                 for j in range(n):
                     a[j][i] -= f * a[j][k]
     return pos - neg
+
+
+def _rank_mod(rows, p) -> int:
+    """Rank of an integer matrix over F_p, by Gaussian elimination."""
+    a = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        for i in range(len(a)):
+            if i != rank and a[i][col]:
+                f = a[i][col] * inv
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def double_cover_cyclic_by_ranks(V) -> bool:
+    """Whether coker(V + V^T) is cyclic: exactly when V + V^T keeps rank at
+    least n - 1 over F_p for every prime p, and only a p whose square
+    divides det(V + V^T) can lose two.  The determinant comes from exact
+    elimination over Q and its primes from trial division."""
+    n = V.size
+    s = [[V[i][j] + V[j][i] for j in range(n)] for i in range(n)]
+    a = [[Fraction(x) for x in row] for row in s]
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if a[i][k])
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    det = abs(int(det))
+    primes = [p for p in range(2, isqrt(det) + 1) if all(p % k for k in range(2, isqrt(p) + 1))]
+    return all(det % (p * p) or _rank_mod(s, p) >= n - 1 for p in primes)
 
 
 def murakami_by_scan(det1, det2):

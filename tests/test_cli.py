@@ -116,6 +116,15 @@ class TestQuadform:
 
 
 class TestObstruct:
+    def test_ua_one_with_a_non_cyclic_double_cover_exit_2(self, capsys, tmp_path):
+        # V + V^T = 0 mod 3: H1 of the double cover is Z/3 + Z/3, so u_a >= 2
+        path = tmp_path / "v.txt"
+        path.write_text("3 -1\n-2 0\n")
+        argv = ["obstruct", "--matrix1", str(path), "--delta2", "t-1+t^-1", "--ua1", "1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "not cyclic" in err
+
     @pytest.mark.parametrize("bound", ["-1", "0"])
     def test_bound_below_one_is_a_usage_error(self, bound):
         argv = ["obstruct", "--delta1", "4t-7+4t^-1", "--delta2", "-4t+9-4t^-1", "--ua1", "1"]

@@ -7,7 +7,7 @@ import pytest
 
 from gordian import numtheory, obstruct
 from gordian.laurent import LaurentPoly, divmod_rational, is_multiple
-from gordian.seifert import KnotInvariants, SeifertMatrix, check_alexander, h_form
+from gordian.seifert import KnotInvariants, SeifertMatrix, alexander, check_alexander, h_form
 from gordian.obstruct import (
     SearchBounds,
     build_report,
@@ -472,6 +472,16 @@ class TestBuildReport:
         with pytest.raises(ValueError, match="contradict"):
             build_report(TREFOIL_DELTA, DELTA_9_25, ua1=1, ua2=0)
 
+    def test_ua_one_rejected_when_the_double_cover_is_not_cyclic(self):
+        # V + V^T = 0 mod 3: H1 of the double cover is Z/3 + Z/3, so u_a >= 2
+        V = SeifertMatrix([[3, -1], [-2, 0]])
+        for x, y, u1, u2 in ((V, TREFOIL_DELTA, 1, None), (TREFOIL_DELTA, V, None, 1)):
+            with pytest.raises(ValueError, match="u_a = 1 is impossible .* not cyclic"):
+                build_report(x, y, ua1=u1, ua2=u2)
+        # the same claim on its polynomial, or on a matrix with cyclic H1, stands
+        build_report(alexander(V), TREFOIL_DELTA, ua1=1, bounds=SMALL)
+        build_report(SeifertMatrix([[1, 1], [0, -1]]), TREFOIL_DELTA, ua1=1, bounds=SMALL)
+
     def test_constant_three_matches_quadform_oracle(self):
         # -2t+5-2t^-1 = 3 modulo t-1+t^-1
         report = build_report(TREFOIL_DELTA, P("-2t+5-2t^-1"))
@@ -645,3 +655,4 @@ class TestParityAddsNoBound:
                 quad = _criterion(report, "quadratic-form")
                 assert quad.verdict == "Obstructs" and quad.rho_lower == 2, report.format()
         assert fired > 40
+

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from gordian.obstruct import _make_side, _ua_one_certificate
 from gordian.seifert import (
     BORDER_VARIANTS,
     InvalidMatrixError,
+    SMALL_H,
     KnotInvariants,
     SeifertMatrix,
     adjugate_laurent,
@@ -15,6 +17,7 @@ from gordian.seifert import (
     congruent_transform,
     det_int,
     det_laurent,
+    double_cover_cyclic,
     enlarge,
     h_form,
     knot_determinant,
@@ -26,7 +29,7 @@ from gordian.seifert import (
     unknotting_border,
 )
 from gordian.verify import random_seifert, random_unimodular, random_vector
-from oracles import det_by_cofactors, pencil_entries, signature_over_q
+from oracles import det_by_cofactors, double_cover_cyclic_by_ranks, pencil_entries, signature_over_q
 
 P = LaurentPoly.parse
 
@@ -533,7 +536,8 @@ class TestUaIsOne:
     def test_2x2_small_det(self):
         assert self.certificate(FIG8) == "2x2 matrix with |det V| = 1"
         cases = [
-            ([[3, -1], [-2, 0]], -2, "2x2 matrix with |det V| = 2"),
+            # V + V^T = 0 mod 3: H1 of the double cover is Z/3 + Z/3, so u_a >= 2
+            ([[3, -1], [-2, 0]], -2, None),
             ([[1, 2], [1, -1]], -3, "2x2 matrix with |det V| = 3"),
             ([[1, 3], [2, -1]], -7, None),
             ([[1, 2], [3, 1]], -5, "2x2 matrix with |det V| = 5"),
@@ -551,6 +555,54 @@ class TestUaIsOne:
         for _ in range(300):
             V = random_seifert(rng, 2, bound=9)
             assert alexander(V) == h_form(det_int(V.rows))
+
+
+def block_sum(V, W):
+    n, m = V.size, W.size
+    rows = [list(row) + [0] * m for row in V.rows] + [[0] * n + list(row) for row in W.rows]
+    return SeifertMatrix(rows)
+
+
+class TestDoubleCoverCyclic:
+    def test_small_cases(self):
+        assert double_cover_cyclic(SeifertMatrix([]))
+        assert double_cover_cyclic(TREFOIL) and double_cover_cyclic(FIG8)
+        # V + V^T = [[6, -3], [-3, 0]]: coker is Z/3 + Z/3
+        assert not double_cover_cyclic(SeifertMatrix([[3, -1], [-2, 0]]))
+
+    def test_block_sums(self):
+        # Z/3 + Z/3 is not cyclic; Z/3 + Z/5 is Z/15
+        assert not double_cover_cyclic(block_sum(TREFOIL, TREFOIL))
+        assert double_cover_cyclic(block_sum(TREFOIL, FIG8))
+        assert not double_cover_cyclic(block_sum(block_sum(TREFOIL, FIG8), TREFOIL))
+
+    def test_against_ranks_mod_p(self):
+        rng = random.Random(97)
+        outcomes = set()
+        for i in range(120):
+            if i % 2:
+                V = random_seifert(rng, (2, 4, 6)[i % 3])
+            else:
+                V = block_sum(random_seifert(rng, 2), random_seifert(rng, (2, 4)[i % 4 // 2]))
+            got = double_cover_cyclic(V)
+            assert got == double_cover_cyclic_by_ranks(V), V
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_2x2_small_h_census(self):
+        # the 2x2 matrices that the |det V| rule admits, entries in [-6, 6]:
+        # only det V = -2 has det(V + V^T) = 4 det V - 1 = -9 not squarefree
+        admitted = refused = 0
+        for a, b, c, d in itertools.product(range(-6, 7), repeat=4):
+            if (b - c) ** 2 != 1 or -(a * d - b * c) not in SMALL_H:
+                continue
+            V = SeifertMatrix([[a, b], [c, d]])
+            admitted += 1
+            if not double_cover_cyclic(V):
+                refused += 1
+                assert a * d - b * c == -2
+            assert double_cover_cyclic(V) == double_cover_cyclic_by_ranks(V)
+        assert (admitted, refused) == (316, 52)
 
 
 class TestMatrixFile:
