@@ -21,6 +21,7 @@ from gordian.obstruct import (
 )
 from gordian.verify import quadform_oracle_values, random_seifert
 from oracles import cc_bar_by_full_window, murakami_by_scan, quadform_by_box
+from test_crossing_change import crossing_change_pairs
 from test_report_text import SMALL, both_orders, corpus
 
 P = LaurentPoly.parse
@@ -656,3 +657,46 @@ class TestParityAddsNoBound:
                 assert quad.verdict == "Obstructs" and quad.rho_lower == 2, report.format()
         assert fired > 40
 
+
+class TestOneDivisionPerModulus:
+    """Parity and quadratic-form read one residue per modulus: a report
+    divides once by the polynomial of each side whose |h| is prime or 1,
+    and only when the two polynomials differ."""
+
+    @staticmethod
+    def expected_divisions(x, y):
+        deltas = [alexander(v) if isinstance(v, SeifertMatrix) else v for v in (x, y)]
+        if deltas[0] == deltas[1]:
+            return []
+        out = []
+        for mod, other in (deltas, deltas[::-1]):
+            h = mod.coeff(1)
+            if h and mod == h_form(h) and (abs(h) == 1 or numtheory.is_prime(abs(h))):
+                out.append((other, mod))
+        return out
+
+    def test_corpus_and_crossing_changes(self, monkeypatch):
+        calls = []
+        divide = obstruct.divmod_rational
+
+        def counted(a, b):
+            calls.append((a, b))
+            return divide(a, b)
+
+        monkeypatch.setattr(obstruct, "divmod_rational", counted)
+        pairs = [(x, y, u1, u2) for _, _, (x, y, u1, u2, _, _) in both_orders(corpus())]
+        for V, W in crossing_change_pairs(1):
+            for a, b in ((V, W), (W, V)):
+                pairs += [(a, b, None, None), (alexander(a), alexander(b), None, None)]
+        by_trefoil = 0
+        for x, y, u1, u2 in pairs:
+            calls.clear()
+            try:
+                build_report(x, y, ua1=u1, ua2=u2, bounds=SMALL)
+            except ValueError as exc:
+                if "not cyclic" in str(exc):  # rejected before any criterion
+                    assert calls == []
+                    continue
+            assert calls == self.expected_divisions(x, y)
+            by_trefoil += sum(mod == TREFOIL_DELTA for _, mod in calls)
+        assert by_trefoil > 20
