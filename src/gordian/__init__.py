@@ -10,7 +10,6 @@ from .seifert import (
     congruent_transform,
     det_int,
     det_laurent,
-    double_cover_cyclic,
     enlarge,
     h_form,
     knot_determinant,
