@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from fractions import Fraction
 from math import isqrt
 
-from .laurent import LaurentPoly, divmod_rational, is_multiple
+from .laurent import LaurentPoly, is_multiple
 from .numtheory import Undecided, factorize, is_prime, jacobi, pell_unit, smallest_square_root
 from .seifert import (
     SMALL_H,
@@ -474,6 +475,29 @@ def _make_side(value, ua, label) -> _Side:
     return _Side(label or str(delta), delta, matrix, sigma, det, h, certificate, None)
 
 
+def _h_form_residue(p: LaurentPoly, h: int) -> LaurentPoly:
+    """The remainder of the bar-symmetric p modulo h_form(h), as
+    ``divmod_rational`` returns it: a constant, int when integral.
+
+    p is a polynomial in x = t + t^-1, and h_form(h) = h (x - x0) with
+    x0 = (2h-1)/h, so the remainder is p(x0).  At x0, t^k + t^-k = S_k / h^k
+    with S_0 = 2, S_1 = 2h-1 and S_(k+1) = (2h-1) S_k - h^2 S_(k-1).  For
+    p = c_0 + sum_k c_k (t^k + t^-k) of top exponent K the remainder is
+    N / h^K, N = c_0 h^K + sum_k c_k S_k h^(K-k), summed here by Horner's
+    rule in h.
+    """
+    assert p.is_bar_symmetric(), f"{p} is not bar symmetric"
+    terms, step, h2 = p.terms, 2 * h - 1, h * h
+    top = max(terms, default=0)
+    num, s_prev, s_k = terms.get(0, 0), 2, step
+    for k in range(1, top + 1):
+        num = num * h + terms.get(k, 0) * s_k
+        s_prev, s_k = s_k, step * s_k - h2 * s_prev
+    den = h**top
+    value = num // den if num % den == 0 else Fraction(num, den)
+    return LaurentPoly({0: value})
+
+
 def _sides(input1, input2, ua1, ua2, label1, label2):
     """Both sides.  When the polynomials differ, a side whose |h| is prime or
     1 holds the other side's polynomial modulo its own: the criteria's residue."""
@@ -481,7 +505,7 @@ def _sides(input1, input2, ua1, ua2, label1, label2):
     if sides[0].delta == sides[1].delta:
         return sides
     return tuple(
-        mod._replace(residue=divmod_rational(other.delta, mod.delta)[1])
+        mod._replace(residue=_h_form_residue(other.delta, mod.h))
         if mod.h is not None and _is_prime_or_one(abs(mod.h)) else mod
         for mod, other in (sides, sides[::-1])
     )

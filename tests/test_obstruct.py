@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gordian import numtheory, obstruct
+from gordian import laurent, numtheory, obstruct
 from gordian.laurent import LaurentPoly, divmod_rational, is_multiple
 from gordian.seifert import KnotInvariants, SeifertMatrix, alexander, check_alexander, h_form
 from gordian.obstruct import (
@@ -658,13 +658,57 @@ class TestParityAddsNoBound:
         assert fired > 40
 
 
-class TestOneDivisionPerModulus:
-    """Parity and quadratic-form read one residue per modulus: a report
-    divides once by the polynomial of each side whose |h| is prime or 1,
-    and only when the two polynomials differ."""
+class TestHFormResidue:
+    """The residue modulo h_form(h) read as p(x0), x0 = (2h-1)/h, equals the
+    remainder of the Fraction long division."""
+
+    H_RANGE = [h for h in range(-40, 41) if h]
 
     @staticmethod
-    def expected_divisions(x, y):
+    def random_symmetric(rng):
+        half = rng.randrange(7)
+        terms = {0: rng.randint(-30, 30)}
+        for e in range(1, half + 1):
+            terms[e] = terms[-e] = rng.randint(-30, 30)
+        return LaurentPoly(terms)
+
+    def test_equals_long_division_for_every_h(self):
+        rng = random.Random(16)
+        polys = [self.random_symmetric(rng) for _ in range(25)] + [LaurentPoly(), P("7")]
+        fractional = 0
+        for h in self.H_RANGE:
+            for p in polys + [h_form(h), h_form(h) * h_form(-h) + 3]:
+                want = divmod_rational(p, h_form(h))[1]
+                got = obstruct._h_form_residue(p, h)
+                assert got.terms == want.terms, (p, h)
+                assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+                fractional += not want.is_integral
+        assert fractional > 1000
+
+    def test_modulus_itself_leaves_zero(self):
+        for h in self.H_RANGE:
+            assert obstruct._h_form_residue(h_form(h), h).is_zero
+            assert obstruct._h_form_residue(h_form(h) * h_form(h + 1), h).is_zero
+
+    def test_values(self):
+        # at x0 = 1, t^2 + t^-2 = x0^2 - 2 = -1: -3 (-1) + 12 - 17 = -2
+        assert obstruct._h_form_residue(DELTA_9_25, 1) == LaurentPoly.const(-2)
+        # at x0 = 3/2: 3/2 - 1
+        assert obstruct._h_form_residue(h_form(1), 2) == LaurentPoly.const(Fraction(1, 2))
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(AssertionError):
+            obstruct._h_form_residue(P("t+1"), 1)
+
+
+class TestOneResiduePerModulus:
+    """Parity and quadratic-form read one residue per modulus: a report
+    evaluates the other side's polynomial once for each side whose |h| is
+    prime or 1, only when the two polynomials differ, and divides by no
+    polynomial unless the cc-bar criterion applies."""
+
+    @staticmethod
+    def expected_residues(x, y):
         deltas = [alexander(v) if isinstance(v, SeifertMatrix) else v for v in (x, y)]
         if deltas[0] == deltas[1]:
             return []
@@ -676,27 +720,38 @@ class TestOneDivisionPerModulus:
         return out
 
     def test_corpus_and_crossing_changes(self, monkeypatch):
-        calls = []
-        divide = obstruct.divmod_rational
+        calls, divisions = [], []
+        residue, divide = obstruct._h_form_residue, laurent.divmod_rational
 
-        def counted(a, b):
-            calls.append((a, b))
+        def counted_residue(p, h):
+            calls.append((p, h_form(h)))
+            return residue(p, h)
+
+        def counted_division(a, b):
+            divisions.append((a, b))
             return divide(a, b)
 
-        monkeypatch.setattr(obstruct, "divmod_rational", counted)
+        monkeypatch.setattr(obstruct, "_h_form_residue", counted_residue)
+        monkeypatch.setattr(laurent, "divmod_rational", counted_division)
         pairs = [(x, y, u1, u2) for _, _, (x, y, u1, u2, _, _) in both_orders(corpus())]
         for V, W in crossing_change_pairs(1):
             for a, b in ((V, W), (W, V)):
                 pairs += [(a, b, None, None), (alexander(a), alexander(b), None, None)]
-        by_trefoil = 0
+        by_trefoil = without_division = 0
         for x, y, u1, u2 in pairs:
             calls.clear()
+            divisions.clear()
             try:
-                build_report(x, y, ua1=u1, ua2=u2, bounds=SMALL)
+                report = build_report(x, y, ua1=u1, ua2=u2, bounds=SMALL)
             except ValueError as exc:
                 if "not cyclic" in str(exc):  # rejected before any criterion
-                    assert calls == []
+                    assert calls == [] and divisions == []
                     continue
-            assert calls == self.expected_divisions(x, y)
+                report = None  # supplied u_a values contradict a certified bound
+            assert calls == self.expected_residues(x, y)
             by_trefoil += sum(mod == TREFOIL_DELTA for _, mod in calls)
+            if report is not None and not _criterion(report, "cc-bar-witness").applicable:
+                assert divisions == [], (report.label1, report.label2)
+                without_division += 1
         assert by_trefoil > 20
+        assert without_division > 100
