@@ -545,7 +545,7 @@ def _parity(s1: _Side, s2: _Side) -> CriterionResult:
     return CriterionResult("parity", True, "NoObstruction", "; ".join(parts))
 
 
-def _quadratic_form(s1: _Side, s2: _Side, bounds: SearchBounds) -> CriterionResult:
+def _quadratic_form(s1: _Side, s2: _Side, bounds: SearchBounds):
     """The paper's criterion, tried with each side as the modulus.
 
     Hypotheses: distinct polynomials; the modulus is h(t + t^-1) + 1 - 2h with
@@ -553,9 +553,12 @@ def _quadratic_form(s1: _Side, s2: _Side, bounds: SearchBounds) -> CriterionResu
     nonzero integer d modulo it.  No integer solution of
     h^2 x^2 + (2h-1) xy + y^2 = +-d gives dga >= 2, and rho >= 2 when h is in
     SMALL_H, since then every class with the modulus polynomial has u_a = 1.
+
+    Returns the CriterionResult and, for s1 and s2, the witness verdict
+    found modulo that side or None, which ``_cc_bar_witness`` reuses.
     """
-    parts, outcomes, rho = [], set(), 0
-    for mod in (s1, s2):
+    parts, outcomes, rho, witnesses = [], set(), 0, [None, None]
+    for i, mod in enumerate((s1, s2)):
         if mod.residue is None:
             continue
         h, d, cert = mod.h, constant_residue(mod.residue), mod.ua_one_certificate
@@ -569,41 +572,57 @@ def _quadratic_form(s1: _Side, s2: _Side, bounds: SearchBounds) -> CriterionResu
         elif v.outcome == "witness":
             assert form_value(h, v.x, v.y) == v.sign * d
             detail = f"witness x = {v.x}, y = {v.y} gives {v.sign * d}"
+            witnesses[i] = v
         else:
             detail = f"inconclusive up to |x| <= {v.searched_bound}"
         parts.append(f"mod {mod.label}: h = {h}, d = {d}: {detail} [u_a certificate: {cert}]")
     name, certificate = "quadratic-form", "; ".join(parts) if parts else "hypotheses not met"
     if "refuted" in outcomes:
-        return CriterionResult(name, True, "Obstructs", certificate, rho_lower=rho, dga_lower=2)
-    if parts and "inconclusive" not in outcomes:
-        return CriterionResult(name, True, "NoObstruction", certificate)
-    return CriterionResult(name, bool(parts), "Inconclusive", certificate)
+        result = CriterionResult(name, True, "Obstructs", certificate, rho_lower=rho, dga_lower=2)
+    elif parts and "inconclusive" not in outcomes:
+        result = CriterionResult(name, True, "NoObstruction", certificate)
+    else:
+        result = CriterionResult(name, bool(parts), "Inconclusive", certificate)
+    return result, witnesses
 
 
 def _cc_bar_witness(
-    s1: _Side, s2: _Side, bounds: SearchBounds, quad: CriterionResult
+    s1: _Side, s2: _Side, bounds: SearchBounds, quad: CriterionResult, witnesses
 ) -> CriterionResult:
     """Hypotheses: distinct polynomials and a side with a certified u_a = 1.
-    Searches a finite window for c with +-Delta' - c bar(c) a multiple of the
-    Delta of each such side in argument order, Delta' being the other side's;
-    the first witness shows the criterion cannot obstruct, so the verdict
-    does not depend on the order of the pair.  It certifies no bound of its
-    own: it obstructs only when the quadratic-form criterion (``quad``)
-    already did."""
+    Looks for c with +-Delta' - c bar(c) a multiple of the Delta of each such
+    side, Delta' being the other side's; the first witness shows the
+    criterion cannot obstruct, so the verdict does not depend on the order
+    of the pair.  It certifies no bound of its own: it obstructs only when
+    the quadratic-form criterion (``quad``) already did.
+
+    A quadratic-form witness q(x, y) = s d modulo h_form(h) (``witnesses``,
+    one per side) gives c = h x t + y with sign s, since
+    c bar(c) - q(x, y) = x y h_form(h) and Delta' = d modulo it.  Those are
+    taken first, side by side in argument order; only then is a finite
+    window searched modulo each certified side in argument order."""
     name = "cc-bar-witness"
-    sides = [s for s in (s1, s2) if s.ua_one_certificate is not None]
-    if not sides or s1.delta == s2.delta:
+    if s1.delta == s2.delta or (s1.ua_one_certificate is None and s2.ua_one_certificate is None):
         needs = "requires distinct polynomials and a certified u_a = 1 side"
         return CriterionResult(name, False, "Inconclusive", needs)
     if quad.verdict == "Obstructs":
         implied = "no witness exists: implied by the quadratic-form refutation"
         return CriterionResult(name, True, "Obstructs", implied)
     max_breadth, max_coeff = bounds.cc_max_breadth, bounds.cc_max_coeff
-    for side in sides:
-        other = s2 if side is s1 else s1
-        witness = cc_bar_witness_search(side.delta, other.delta, max_breadth, max_coeff)
+    pairs = ((s1, s2), (s2, s1))
+    constructed = (
+        (side, other, CcBarWitness(LaurentPoly({1: side.h * v.x, 0: v.y}), v.sign))
+        for (side, other), v in zip(pairs, witnesses)
+        if v is not None
+    )
+    searched = (
+        (side, other, cc_bar_witness_search(side.delta, other.delta, max_breadth, max_coeff))
+        for side, other in pairs
+        if side.ua_one_certificate is not None
+    )
+    for side, other, witness in itertools.chain(constructed, searched):
         if witness is not None:
-            c, sign = witness.c, witness.sign
+            c, sign = witness
             assert is_multiple(sign * other.delta - c * c.bar(), side.delta)
             found = f"mod {side.label}: c = {c}, sign = {sign:+d}"
             return CriterionResult(name, True, "NoObstruction", found)
@@ -658,8 +677,8 @@ def build_report(
             raise ValueError("u_a values must be nonnegative")
     s1, s2 = _sides(input1, input2, ua1, ua2, label1, label2)
     alex, parity = _alexander_distance(s1, s2), _parity(s1, s2)
-    quad = _quadratic_form(s1, s2, bounds)
-    cc_bar = _cc_bar_witness(s1, s2, bounds, quad)
+    quad, witnesses = _quadratic_form(s1, s2, bounds)
+    cc_bar = _cc_bar_witness(s1, s2, bounds, quad, witnesses)
     criteria = (alex, parity, quad, cc_bar, _murakami(s1, s2), _signature(s1, s2))
     rho_lower = max(c.rho_lower for c in criteria)
     dga_lower = max(rho_lower, *(c.dga_lower for c in criteria))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -635,6 +636,57 @@ class TestOrderFree:
             report = build_report(*args[:2], ua1=args[2], ua2=args[3], bounds=SearchBounds(2, 2, 60))
             cc = _criterion(report, "cc-bar-witness")
             assert (cc.verdict, cc.certificate) == ("NoObstruction", "mod t-1+t^-1: c = t+1, sign = +1")
+
+    def test_cost_does_not_depend_on_the_order(self):
+        # with the -2t+5-2t^-1 side first, its default window (335,528
+        # candidates) used to be exhausted before the second side was tried
+        delta1, delta2 = P("-2t+5-2t^-1"), P("t-1+t^-1")
+        for args in ((delta1, delta2, 1, None), (delta2, delta1, None, 1)):
+            start = time.perf_counter()
+            report = build_report(*args[:2], ua1=args[2], ua2=args[3])
+            assert time.perf_counter() - start < 1
+            cc = _criterion(report, "cc-bar-witness")
+            assert (cc.verdict, cc.certificate) == ("NoObstruction", "mod t-1+t^-1: c = t+1, sign = +1")
+
+
+QUAD_WITNESS = re.compile(r"mod (\S+): h = (-?\d+), d = -?\d+: witness x = (-?\d+), y = (-?\d+)")
+
+
+class TestWitnessFromQuadraticForm:
+    """A quadratic-form witness q(x, y) = s d modulo h_form(h) is the cc-bar
+    witness c = h x t + y with sign s, since c bar(c) - q(x, y) = x y h_form(h)."""
+
+    def test_identity(self):
+        for h, x, y in itertools.product((-5, -2, -1, 1, 2, 7), range(-3, 4), range(-3, 4)):
+            c = LaurentPoly({1: h * x, 0: y})
+            assert c * c.bar() - form_value(h, x, y) == h_form(h) * (x * y)
+
+    def test_no_window_search_after_a_witness(self, monkeypatch):
+        searches = []
+        search = obstruct.cc_bar_witness_search
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(obstruct, "cc_bar_witness_search", counted)
+        constructed = 0
+        for _, _, (x, y, u1, u2, _, _) in both_orders(corpus()):
+            searches.clear()
+            try:
+                report = build_report(x, y, ua1=u1, ua2=u2, bounds=SMALL)
+            except ValueError:
+                continue
+            quad = _criterion(report, "quadratic-form")
+            witness = QUAD_WITNESS.search(quad.certificate)
+            if witness is None or quad.verdict == "Obstructs":
+                continue
+            constructed += 1
+            label, h, wx, wy = witness.group(1), *map(int, witness.groups()[1:])
+            cc = _criterion(report, "cc-bar-witness")
+            assert searches == [] and cc.verdict == "NoObstruction", report.format()
+            assert cc.certificate.startswith(f"mod {label}: c = {LaurentPoly({1: h * wx, 0: wy})}, sign = ")
+        assert constructed >= 20
 
 
 class TestParityAddsNoBound:
