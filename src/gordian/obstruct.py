@@ -545,7 +545,7 @@ def _parity(s1: _Side, s2: _Side) -> CriterionResult:
     return CriterionResult("parity", True, "NoObstruction", "; ".join(parts))
 
 
-def _quadratic_form(s1: _Side, s2: _Side, bounds: SearchBounds):
+def _quadratic_form(s1: _Side, s2: _Side, bounds: SearchBounds) -> tuple[CriterionResult, list]:
     """The paper's criterion, tried with each side as the modulus.
 
     Hypotheses: distinct polynomials; the modulus is h(t + t^-1) + 1 - 2h with
@@ -578,12 +578,10 @@ def _quadratic_form(s1: _Side, s2: _Side, bounds: SearchBounds):
         parts.append(f"mod {mod.label}: h = {h}, d = {d}: {detail} [u_a certificate: {cert}]")
     name, certificate = "quadratic-form", "; ".join(parts) if parts else "hypotheses not met"
     if "refuted" in outcomes:
-        result = CriterionResult(name, True, "Obstructs", certificate, rho_lower=rho, dga_lower=2)
-    elif parts and "inconclusive" not in outcomes:
-        result = CriterionResult(name, True, "NoObstruction", certificate)
-    else:
-        result = CriterionResult(name, bool(parts), "Inconclusive", certificate)
-    return result, witnesses
+        return CriterionResult(name, True, "Obstructs", certificate, rho_lower=rho, dga_lower=2), witnesses
+    if parts and "inconclusive" not in outcomes:
+        return CriterionResult(name, True, "NoObstruction", certificate), witnesses
+    return CriterionResult(name, bool(parts), "Inconclusive", certificate), witnesses
 
 
 def _cc_bar_witness(
