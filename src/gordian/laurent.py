@@ -144,16 +144,6 @@ class LaurentPoly:
     def is_integral(self) -> bool:
         return all(isinstance(c, int) for c in self.terms.values())
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {0}
-
-    @property
-    def constant_value(self):
-        if not self.is_constant:
-            raise ValueError("polynomial is not constant")
-        return self.terms.get(0, 0)
-
     def is_bar_symmetric(self) -> bool:
         return all(self.terms.get(-e, 0) == c for e, c in self.terms.items())
 
@@ -228,6 +218,9 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its value, so it hashes as the value does
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from fractions import Fraction
 from math import isqrt
 
 from .laurent import LaurentPoly, is_multiple
@@ -39,9 +38,27 @@ class SearchBounds(
 ):
     """The windows of the two bounded searches: breadth and coefficients of
     the cc-bar candidates, and |x| for an indefinite quadratic form.  These
-    defaults are the only ones: the search functions and the CLI read them."""
+    defaults are the only ones: the search functions and the CLI read them.
+    An empty window is refused, since its search would certify nothing."""
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        _at_least(0, self.cc_max_breadth, "the cc-bar breadth")
+        _at_least(1, self.cc_max_coeff, "the cc-bar coefficient bound")
+        _at_least(1, self.quadform_bound, "the quadratic-form bound")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: run the checks of __new__ there too
+        return cls(*iterable)
+
+
+def _at_least(least: int, value: int, name: str) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 _DEFAULT_BOUNDS = SearchBounds()
@@ -167,6 +184,7 @@ def quadform_represents(
         raise ValueError("h must be nonzero")
     if d == 0:
         raise ValueError("d must be nonzero")
+    _at_least(1, bound, "the quadratic-form bound")
     if h >= 1:
         for x in _signed_range(isqrt(4 * abs(d) // (4 * h - 1))):
             found = _y_solutions(h, d, x)
@@ -186,31 +204,44 @@ def quadform_represents(
 
 
 class ParityVerdict(namedtuple("ParityVerdict", ("obstructs", "m", "remainder"))):
-    """Whether a polynomial is congruent to 2 + 4m modulo t + t^-1 - 1;
-    ``m`` is None when it is not."""
+    """Whether the integer residue modulo t + t^-1 - 1 is 2 + 4m; ``m`` is
+    None when it is not."""
 
     __slots__ = ()
 
 
-def parity_criterion(r: LaurentPoly) -> ParityVerdict:
-    """Residue test on the remainder r of a polynomial modulo t + t^-1 - 1.
-
-    Fires exactly when r is an integer congruent to 2 mod 4; any polynomial
-    congruent to such a constant cannot be one unknotting step from the
-    modulus class, so the polynomial distance is 2.
-    """
-    if r.is_constant and r.is_integral:
-        c = r.constant_value
-        if c % 4 == 2:
-            return ParityVerdict(True, (c - 2) // 4, r)
+def parity_criterion(r: int) -> ParityVerdict:
+    """Residue test on the integer r that a polynomial is congruent to modulo
+    t + t^-1 - 1.  Fires exactly when r is 2 mod 4; any polynomial congruent
+    to such a constant cannot be one unknotting step from the modulus class,
+    so the polynomial distance is 2."""
+    if r % 4 == 2:
+        return ParityVerdict(True, (r - 2) // 4, r)
     return ParityVerdict(False, None, r)
 
 
-def constant_residue(r: LaurentPoly):
-    """The remainder r as a nonzero integer, or None when it is not one."""
-    if r.is_constant and r.is_integral and not r.is_zero:
-        return r.constant_value
-    return None
+def constant_residue(p: LaurentPoly, h: int) -> int | None:
+    """The integer that the bar-symmetric p is congruent to modulo
+    h_form(h), or None when there is none.
+
+    p is a polynomial in x = t + t^-1, and h_form(h) = h (x - x0) with
+    x0 = (2h-1)/h, so the remainder over the rationals is p(x0).  At x0,
+    t^k + t^-k = S_k / h^k with S_0 = 2, S_1 = 2h-1 and
+    S_(k+1) = (2h-1) S_k - h^2 S_(k-1).  For p = c_0 + sum_k c_k (t^k + t^-k)
+    of top exponent K the remainder is N / h^K, N = c_0 h^K +
+    sum_k c_k S_k h^(K-k), summed here by Horner's rule in h.  h_form(h) is
+    primitive, so by Gauss's lemma that is an integer residue exactly when
+    h^K divides N.
+    """
+    assert p.is_bar_symmetric(), f"{p} is not bar symmetric"
+    terms, step, h2 = p.terms, 2 * h - 1, h * h
+    top = max(terms, default=0)
+    num, s_prev, s_k = terms.get(0, 0), 2, step
+    for k in range(1, top + 1):
+        num = num * h + terms.get(k, 0) * s_k
+        s_prev, s_k = s_k, step * s_k - h2 * s_prev
+    d, rest = divmod(num, h**top)
+    return None if rest else d
 
 
 # -- bounded witness search for the product c * bar(c) ----------------------------
@@ -263,6 +294,8 @@ def cc_bar_witness_search(
     """
     if delta.is_zero:
         raise ZeroDivisionError("modulus polynomial must be nonzero")
+    _at_least(0, max_breadth, "the cc-bar breadth")
+    _at_least(1, max_coeff, "the cc-bar coefficient bound")
     targets = ((1, delta_prime), (-1, -delta_prime))
     for c in _cc_candidates(max_breadth, max_coeff):
         cc = c * c.bar()
@@ -413,7 +446,7 @@ class _Side(
             "det",  # |Delta(-1)|, odd since Delta(-1) = Delta(1) = 1 mod 2
             "h",  # the h with delta = h_form(h), None when there is none
             "ua_one_certificate",  # None when u_a = 1 is not certified
-            "residue",  # the other side's delta mod this delta, see _sides
+            "residue",  # the int the other side's delta is congruent to, see _sides
         ),
     )
 ):
@@ -475,37 +508,15 @@ def _make_side(value, ua, label) -> _Side:
     return _Side(label or str(delta), delta, matrix, sigma, det, h, certificate, None)
 
 
-def _h_form_residue(p: LaurentPoly, h: int) -> LaurentPoly:
-    """The remainder of the bar-symmetric p modulo h_form(h), as
-    ``divmod_rational`` returns it: a constant, int when integral.
-
-    p is a polynomial in x = t + t^-1, and h_form(h) = h (x - x0) with
-    x0 = (2h-1)/h, so the remainder is p(x0).  At x0, t^k + t^-k = S_k / h^k
-    with S_0 = 2, S_1 = 2h-1 and S_(k+1) = (2h-1) S_k - h^2 S_(k-1).  For
-    p = c_0 + sum_k c_k (t^k + t^-k) of top exponent K the remainder is
-    N / h^K, N = c_0 h^K + sum_k c_k S_k h^(K-k), summed here by Horner's
-    rule in h.
-    """
-    assert p.is_bar_symmetric(), f"{p} is not bar symmetric"
-    terms, step, h2 = p.terms, 2 * h - 1, h * h
-    top = max(terms, default=0)
-    num, s_prev, s_k = terms.get(0, 0), 2, step
-    for k in range(1, top + 1):
-        num = num * h + terms.get(k, 0) * s_k
-        s_prev, s_k = s_k, step * s_k - h2 * s_prev
-    den = h**top
-    value = num // den if num % den == 0 else Fraction(num, den)
-    return LaurentPoly({0: value})
-
-
 def _sides(input1, input2, ua1, ua2, label1, label2):
     """Both sides.  When the polynomials differ, a side whose |h| is prime or
-    1 holds the other side's polynomial modulo its own: the criteria's residue."""
+    1 holds the integer that the other side's polynomial is congruent to
+    modulo its own, or None when there is none: the criteria's residue."""
     sides = _make_side(input1, ua1, label1), _make_side(input2, ua2, label2)
     if sides[0].delta == sides[1].delta:
         return sides
     return tuple(
-        mod._replace(residue=_h_form_residue(other.delta, mod.h))
+        mod._replace(residue=constant_residue(other.delta, mod.h))
         if mod.h is not None and _is_prime_or_one(abs(mod.h)) else mod
         for mod, other in (sides, sides[::-1])
     )
@@ -531,10 +542,7 @@ def _parity(s1: _Side, s2: _Side) -> CriterionResult:
             continue
         res = parity_criterion(mod.residue)
         fired = fired or res.obstructs
-        if res.obstructs:
-            detail = f"= 2 + 4*({res.m}), m = {res.m}"
-        else:
-            detail = "is not 2 mod 4"
+        detail = f"= 2 + 4*({res.m}), m = {res.m}" if res.obstructs else "is not 2 mod 4"
         parts.append(f"mod {mod.label}: remainder = {res.remainder} {detail}")
     if not parts:
         return CriterionResult(
@@ -559,11 +567,9 @@ def _quadratic_form(s1: _Side, s2: _Side, bounds: SearchBounds) -> tuple[Criteri
     """
     parts, outcomes, rho, witnesses = [], set(), 0, [None, None]
     for i, mod in enumerate((s1, s2)):
-        if mod.residue is None:
+        if not mod.residue or mod.ua_one_certificate is None:
             continue
-        h, d, cert = mod.h, constant_residue(mod.residue), mod.ua_one_certificate
-        if d is None or cert is None:
-            continue
+        h, d, cert = mod.h, mod.residue, mod.ua_one_certificate
         v = quadform_represents(h, d, bounds.quadform_bound)
         outcomes.add(v.outcome)
         if v.outcome == "refuted":

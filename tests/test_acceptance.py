@@ -11,6 +11,7 @@ from gordian.cli import main
 from gordian.laurent import LaurentPoly, divmod_rational
 from gordian.obstruct import (
     build_report,
+    constant_residue,
     murakami_obstruction,
     parity_criterion,
     quadform_represents,
@@ -58,8 +59,9 @@ def test_criterion_1_end_to_end_obstruct(capsys):
     parity = next(c for c in report.criteria if c.name == "parity")
     assert parity.verdict == "Obstructs"
     assert "remainder = -2 = 2 + 4*(-1)" in parity.certificate
-    res = parity_criterion(divmod_rational(DELTA_9_25, DELTA_3_1)[1])
-    assert res.obstructs and res.m == -1 and res.remainder == LaurentPoly.const(-2)
+    assert divmod_rational(DELTA_9_25, DELTA_3_1)[1] == -2
+    res = parity_criterion(constant_residue(DELTA_9_25, 1))
+    assert res.obstructs and res.m == -1 and res.remainder == -2
     for line in (
         "rho_lower: 2",
         "rho_upper: 2",

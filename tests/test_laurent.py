@@ -72,7 +72,7 @@ class TestConstruction:
         q = L({1: Fraction(1, 3), 0: Fraction(2, 3)})
         _, r = divmod_rational(delta * q * 3 + 6, delta)
         assert r.terms == {0: 6} and type(r.terms[0]) is int
-        assert r.is_constant and r.is_integral
+        assert r.is_integral and r == 6
 
     def test_non_integral_fractions_kept(self):
         third = Fraction(1, 3)
@@ -117,6 +117,30 @@ class TestArithmetic:
 
     def test_int_coercion(self):
         assert 2 * P("t") - 1 == P("2t-1")
+
+
+class TestHash:
+    """A constant polynomial equals its value, so sets and dicts must find
+    either one by the other."""
+
+    @pytest.mark.parametrize("value", [3, -7, Fraction(1, 2), Fraction(-5, 3), 0])
+    def test_constant_hashes_as_its_value(self, value):
+        p = L.const(value)
+        assert p == value and hash(p) == hash(value)
+        assert value in {p} and p in {value}
+        assert {p: "poly"}[value] == "poly" and {value: "number"}[p] == "number"
+        assert len({p, value}) == 1
+
+    def test_zero_polynomial(self):
+        assert L() in {0} and 0 in {L.zero()}
+        assert {0: "zero"}[L()] == "zero"
+        assert hash(L()) == hash(0) == hash(P("t-t"))
+
+    def test_non_constant_hash_unchanged(self):
+        for text in ("t", "t-1+t^-1", "-3t^2+12t-17+12t^-1-3t^-2", "5t^-4"):
+            p = P(text)
+            assert hash(p) == hash(frozenset(p.terms.items()))
+            assert hash(p) == hash(P(text)) and p in {P(text)}
 
 
 class TestBar:

@@ -58,6 +58,13 @@ class TestQuadform:
         with pytest.raises(ValueError, match="d"):
             quadform_represents(1, 0)
 
+    @pytest.mark.parametrize("h", [1, -1])
+    def test_rejects_bound_below_one(self, h):
+        for bound in (0, -3):
+            with pytest.raises(ValueError, match="bound must be at least 1"):
+                quadform_represents(h, 5, bound)
+        assert quadform_represents(h, 1, 1).outcome == "witness"
+
     def test_indefinite_witness(self):
         # h = -1: x^2 - 3xy + y^2 = -1 at (1, 2)
         v = quadform_represents(-1, 1, bound=10)
@@ -92,43 +99,49 @@ class TestQuadform:
 
 class TestParityCriterion:
     def test_bundled_pair(self):
-        res = parity_criterion(trefoil_remainder(DELTA_9_25))
+        d = constant_residue(DELTA_9_25, 1)
+        assert trefoil_remainder(DELTA_9_25) == d == -2
+        res = parity_criterion(d)
         assert res.obstructs
         assert res.m == -1
-        assert res.remainder == LaurentPoly.const(-2)
+        assert res.remainder == -2
 
     def test_self_not_applicable(self):
-        res = parity_criterion(trefoil_remainder(TREFOIL_DELTA))
+        d = constant_residue(TREFOIL_DELTA, 1)
+        assert trefoil_remainder(TREFOIL_DELTA) == d == 0
+        res = parity_criterion(d)
         assert not res.obstructs
-        assert res.remainder == LaurentPoly.zero()
+        assert res.remainder == 0
 
     def test_figure_eight_polynomial(self):
         delta = P("-t+3-t^-1")
         _, remainder = divmod_rational(delta, TREFOIL_DELTA)
-        assert remainder == LaurentPoly.const(2)
-        res = parity_criterion(remainder)
+        d = constant_residue(delta, 1)
+        assert remainder == LaurentPoly.const(2) == d
+        res = parity_criterion(d)
         assert res.obstructs and res.m == 0
         # the parity verdict must agree with the exhaustive search
-        assert quadform_represents(1, remainder.constant_value).outcome == "refuted"
+        assert quadform_represents(1, d).outcome == "refuted"
 
     def test_obstructs_implies_quadform_refuted(self):
         rng = random.Random(11)
         seen = 0
         for _ in range(300):
-            delta = LaurentPoly(
-                {e: rng.randint(-6, 6) for e in range(-3, 4) if rng.random() < 0.5}
-            )
-            res = parity_criterion(trefoil_remainder(delta))
+            delta = TestHFormResidue.random_symmetric(rng)
+            d = constant_residue(delta, 1)
+            assert trefoil_remainder(delta) == d
+            res = parity_criterion(d)
             if res.obstructs:
                 seen += 1
-                d = res.remainder.constant_value
-                assert d % 4 == 2
+                assert d % 4 == 2 and res.remainder == d
                 assert quadform_represents(1, d).outcome == "refuted"
         assert seen > 0
 
     def test_constant_residue(self):
-        assert constant_residue(trefoil_remainder(DELTA_9_25)) == -2
-        assert constant_residue(trefoil_remainder(TREFOIL_DELTA)) is None
+        assert constant_residue(DELTA_9_25, 1) == -2
+        assert constant_residue(TREFOIL_DELTA, 1) == 0
+        # t-1+t^-1 is 1/2 modulo 2t-3+2t^-1: congruent to no integer
+        assert constant_residue(TREFOIL_DELTA, 2) is None
 
 
 class TestCcBarSearch:
@@ -165,6 +178,19 @@ class TestCcBarSearch:
                 assert is_multiple(
                     witness.sign * target - witness.c * witness.c.bar(), delta
                 )
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [((-1, 8), "breadth must be at least 0"), ((4, 0), "coefficient"), ((0, -2), "coefficient")],
+    )
+    def test_empty_window_rejected(self, window, message):
+        with pytest.raises(ValueError, match=message):
+            cc_bar_witness_search(TREFOIL_DELTA, DELTA_9_25, *window)
+
+    def test_smallest_window(self):
+        # breadth 0, coefficient 1: the single candidate c = 1
+        assert cc_bar_witness_search(TREFOIL_DELTA, LaurentPoly.one(), 0, 1) == (LaurentPoly.one(), 1)
+        assert cc_bar_witness_search(TREFOIL_DELTA, DELTA_9_25, 0, 1) is None
 
     def test_zero_modulus_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -705,8 +731,9 @@ class TestParityAddsNoBound:
 
 
 class TestHFormResidue:
-    """The residue modulo h_form(h) read as p(x0), x0 = (2h-1)/h, equals the
-    remainder of the Fraction long division."""
+    """The residue modulo h_form(h) read as p(x0), x0 = (2h-1)/h, is the
+    remainder of the Fraction long division when that is an integer, and
+    None exactly when it is not."""
 
     H_RANGE = [h for h in range(-40, 41) if h]
 
@@ -726,18 +753,24 @@ class TestHFormResidue:
             # the modulus and its multiples leave 0
             for p in polys + [h_form(h), h_form(h) * h_form(h + 1), h_form(h) * h_form(-h) + 3]:
                 want = divmod_rational(p, h_form(h))[1]
-                got = obstruct._h_form_residue(p, h)
-                assert got.terms == want.terms, (p, h)
-                assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
-                fractional += not want.is_integral
-                zero += want.is_zero
+                got = constant_residue(p, h)
+                assert want.terms.keys() <= {0}, (p, h)
+                if want.is_integral:
+                    assert type(got) is int and got == want.coeff(0), (p, h)
+                else:
+                    assert got is None, (p, h)
+                fractional += got is None
+                zero += got == 0
         assert fractional > 1000 and zero >= 2 * len(self.H_RANGE)
 
     def test_values(self):
         # at x0 = 1, t^2 + t^-2 = x0^2 - 2 = -1: -3 (-1) + 12 - 17 = -2
-        assert obstruct._h_form_residue(DELTA_9_25, 1) == LaurentPoly.const(-2)
-        # at x0 = 3/2: 3/2 - 1
-        assert obstruct._h_form_residue(h_form(1), 2) == LaurentPoly.const(Fraction(1, 2))
+        assert constant_residue(DELTA_9_25, 1) == -2
+        # at x0 = 3/2: 3/2 - 1 = 1/2, no integer
+        assert divmod_rational(h_form(1), h_form(2))[1] == Fraction(1, 2)
+        assert constant_residue(h_form(1), 2) is None
+        # h = -1: at x0 = 3, t^2 + t^-2 = x0^2 - 2 = 7
+        assert constant_residue(P("t^2+t^-2"), -1) == 7
 
 
 class TestOneResiduePerModulus:
@@ -760,7 +793,7 @@ class TestOneResiduePerModulus:
 
     def test_corpus_and_crossing_changes(self, monkeypatch):
         calls, divisions = [], []
-        residue, divide = obstruct._h_form_residue, laurent.divmod_rational
+        residue, divide = obstruct.constant_residue, laurent.divmod_rational
 
         def counted_residue(p, h):
             calls.append((p, h_form(h)))
@@ -770,7 +803,7 @@ class TestOneResiduePerModulus:
             divisions.append((a, b))
             return divide(a, b)
 
-        monkeypatch.setattr(obstruct, "_h_form_residue", counted_residue)
+        monkeypatch.setattr(obstruct, "constant_residue", counted_residue)
         monkeypatch.setattr(laurent, "divmod_rational", counted_division)
         pairs = [(x, y, u1, u2) for _, _, (x, y, u1, u2, _, _) in both_orders(corpus())]
         for V, W in crossing_change_pairs(1):

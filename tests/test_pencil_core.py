@@ -286,7 +286,9 @@ class TestAdjugateInt:
     @staticmethod
     def oracle(m):
         rows = [[LaurentPoly.const(x) for x in row] for row in m]
-        return [[p.constant_value for p in row] for row in adjugate_by_cofactors(rows)]
+        adj = adjugate_by_cofactors(rows)
+        assert all(p.terms.keys() <= {0} for row in adj for p in row)
+        return [[p.coeff(0) for p in row] for row in adj]
 
     def check(self, m):
         # nonsingular: the cofactor oracle; singular: ValueError

@@ -37,10 +37,10 @@ RECORDS = [
         "QuadFormVerdict(outcome='witness', x=1, y=-2, sign=1, searched_bound=None)",
     ),
     (
-        ParityVerdict(True, 0, LaurentPoly({0: 2})),
+        ParityVerdict(True, 0, 2),
         ("obstructs", "m", "remainder"),
         {},
-        "ParityVerdict(obstructs=True, m=0, remainder=LaurentPoly('2'))",
+        "ParityVerdict(obstructs=True, m=0, remainder=2)",
     ),
     (
         CcBarWitness(LaurentPoly({0: 1, 1: -1}), -1),
@@ -158,6 +158,26 @@ class TestRecordChecks:
         rho_lower, rho_upper, dga_lower, dga_upper, dg_lower = bounds
         with pytest.raises(AssertionError):
             ObstructionReport("a", "b", (), rho_lower, rho_upper, dga_lower, dga_upper, dg_lower)
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            ((-1, 8, 10_000), "breadth must be at least 0"),
+            ((4, 0, 10_000), "coefficient bound must be at least 1"),
+            ((4, -3, 10_000), "coefficient bound must be at least 1"),
+            ((4, 8, 0), "quadratic-form bound must be at least 1"),
+            ((4, 8, -3), "quadratic-form bound must be at least 1"),
+        ],
+    )
+    def test_search_bounds_reject_empty_windows(self, window, message):
+        with pytest.raises(ValueError, match=message):
+            SearchBounds(*window)
+        with pytest.raises(ValueError, match=message):
+            SearchBounds()._replace(**dict(zip(SearchBounds._fields, window)))
+
+    def test_search_bounds_smallest_window(self):
+        assert SearchBounds(0, 1, 1) == (0, 1, 1)
+        assert SearchBounds()._replace(cc_max_breadth=0, cc_max_coeff=1, quadform_bound=1) == (0, 1, 1)
 
     def test_replace_runs_the_checks(self):
         # _replace builds through _make, which must call the constructor
