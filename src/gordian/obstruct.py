@@ -323,7 +323,8 @@ def murakami_obstruction(det1: int, det2: int) -> MurakamiVerdict:
     The fractional statement 2 d^2 / D = +-(D - D') / (2D) (mod 1) is
     cleared of denominators by multiplying through by 2D, leaving
     4 d^2 = +-(D - D') (mod 2D).  No witness d means a simultaneous
-    unknotting number one and distance one is impossible.
+    unknotting number one and distance one is impossible, D = det1 being the
+    determinant of the side with u_a = 1 (see ``_murakami``).
 
     D and D' are odd, so both sides are even and the condition holds
     exactly when d mod D is a square root of +-(D - D') / 4 mod D, whatever
@@ -446,7 +447,6 @@ class _Side(
             "det",  # |Delta(-1)|, odd since Delta(-1) = Delta(1) = 1 mod 2
             "h",  # the h with delta = h_form(h), None when there is none
             "ua_one_certificate",  # None when u_a = 1 is not certified
-            "residue",  # the int the other side's delta is congruent to, see _sides
         ),
     )
 ):
@@ -505,24 +505,53 @@ def _make_side(value, ua, label) -> _Side:
     if not h or delta != h_form(h):
         h = None
     certificate = _ua_one_certificate(h, matrix, ua)
-    return _Side(label or str(delta), delta, matrix, sigma, det, h, certificate, None)
+    return _Side(label or str(delta), delta, matrix, sigma, det, h, certificate)
 
 
-def _sides(input1, input2, ua1, ua2, label1, label2):
-    """Both sides.  When the polynomials differ, a side whose |h| is prime or
-    1 holds the integer that the other side's polynomial is congruent to
-    modulo its own, or None when there is none: the criteria's residue."""
-    sides = _make_side(input1, ua1, label1), _make_side(input2, ua2, label2)
-    if sides[0].delta == sides[1].delta:
-        return sides
-    return tuple(
-        mod._replace(residue=constant_residue(other.delta, mod.h))
-        if mod.h is not None and _is_prime_or_one(abs(mod.h)) else mod
-        for mod, other in (sides, sides[::-1])
-    )
+def _moduli(s1: _Side, s2: _Side) -> list:
+    """The moduli of the residue criteria, as (side, other side, residue).
+
+    A modulus is a side with a certified u_a = 1, taken in argument order;
+    there is none when the polynomials are equal.  The residue is the
+    integer that the other side's polynomial is congruent to modulo the
+    side's: None unless the side is h_form(h) with |h| prime or 1, and None
+    when there is no such integer.  This is the only place that pairs a
+    modulus with the other side.
+    """
+    if s1.delta == s2.delta:
+        return []
+    moduli = []
+    for mod, other in ((s1, s2), (s2, s1)):
+        if mod.ua_one_certificate is None:
+            continue
+        residue = None
+        if mod.h is not None and _is_prime_or_one(abs(mod.h)):
+            residue = constant_residue(other.delta, mod.h)
+        moduli.append((mod, other, residue))
+    return moduli
 
 
-# -- the criteria: each takes the two sides in argument order ------------------------
+_NEEDS_MODULUS = "requires distinct polynomials and a certified u_a = 1 side"
+
+
+def _combined(name: str, results: list, unmet: str, **bounds) -> CriterionResult:
+    """A residue criterion's result from its (verdict, certificate part)
+    pairs, one per modulus it read: any Obstructs gives Obstructs with the
+    ``bounds`` it certifies, any Inconclusive gives Inconclusive, and all
+    NoObstruction gives NoObstruction.  With no pair the criterion does not
+    apply, and ``unmet`` names the hypothesis that failed."""
+    if not results:
+        return CriterionResult(name, False, "Inconclusive", unmet)
+    verdicts = {verdict for verdict, _ in results}
+    certificate = "; ".join(part for _, part in results)
+    if "Obstructs" in verdicts:
+        return CriterionResult(name, True, "Obstructs", certificate, **bounds)
+    if "Inconclusive" in verdicts:
+        return CriterionResult(name, True, "Inconclusive", certificate)
+    return CriterionResult(name, True, "NoObstruction", certificate)
+
+
+# -- the criteria: each takes the two sides in argument order, or the moduli -----
 
 
 def _alexander_distance(s1: _Side, s2: _Side) -> CriterionResult:
@@ -533,120 +562,116 @@ def _alexander_distance(s1: _Side, s2: _Side) -> CriterionResult:
     return CriterionResult(name, True, "Obstructs", "Alexander polynomials differ", rho_lower=1)
 
 
-def _parity(s1: _Side, s2: _Side) -> CriterionResult:
-    """Hypotheses: distinct polynomials, one of them t + t^-1 - 1.  A remainder
-    of the other modulo it that is an integer 2 mod 4 gives rho >= 2."""
-    parts, fired = [], False
-    for mod in (s1, s2):
-        if mod.h != 1 or mod.residue is None:
+def _parity(moduli: list) -> CriterionResult:
+    """Hypotheses: a modulus equal to t + t^-1 - 1, whose residue is always
+    an integer since h = 1.  A residue that is 2 mod 4 gives rho >= 2."""
+    results = []
+    for mod, _, residue in moduli:
+        if mod.h != 1:
             continue
-        res = parity_criterion(mod.residue)
-        fired = fired or res.obstructs
+        res = parity_criterion(residue)
         detail = f"= 2 + 4*({res.m}), m = {res.m}" if res.obstructs else "is not 2 mod 4"
-        parts.append(f"mod {mod.label}: remainder = {res.remainder} {detail}")
-    if not parts:
-        return CriterionResult(
-            "parity", False, "Inconclusive", "requires distinct polynomials, one equal to t+t^-1-1"
-        )
-    if fired:
-        return CriterionResult("parity", True, "Obstructs", "; ".join(parts), rho_lower=2)
-    return CriterionResult("parity", True, "NoObstruction", "; ".join(parts))
+        verdict = "Obstructs" if res.obstructs else "NoObstruction"
+        results.append((verdict, f"mod {mod.label}: remainder = {res.remainder} {detail}"))
+    unmet = "requires distinct polynomials, one equal to t+t^-1-1"
+    return _combined("parity", results, unmet, rho_lower=2)
 
 
-def _quadratic_form(s1: _Side, s2: _Side, bounds: SearchBounds) -> tuple[CriterionResult, list]:
-    """The paper's criterion, tried with each side as the modulus.
+def _quadratic_form(moduli: list, bounds: SearchBounds) -> tuple[CriterionResult, list]:
+    """The paper's criterion, tried modulo each modulus.
 
-    Hypotheses: distinct polynomials; the modulus is h(t + t^-1) + 1 - 2h with
-    |h| prime or 1 and a certified u_a = 1; the other side is congruent to a
-    nonzero integer d modulo it.  No integer solution of
-    h^2 x^2 + (2h-1) xy + y^2 = +-d gives dga >= 2, and rho >= 2 when h is in
-    SMALL_H, since then every class with the modulus polynomial has u_a = 1.
+    Hypotheses: a modulus h(t + t^-1) + 1 - 2h with |h| prime or 1, modulo
+    which the other side is congruent to a nonzero integer d.  No integer
+    solution of h^2 x^2 + (2h-1) xy + y^2 = +-d gives dga >= 2, and rho >= 2
+    when h is in SMALL_H, since then every class with the modulus
+    polynomial has u_a = 1.
 
-    Returns the CriterionResult and, for s1 and s2, the witness verdict
-    found modulo that side or None, which ``_cc_bar_witness`` reuses.
+    Returns the CriterionResult and the (modulus, other side, witness
+    verdict) of each modulus with a witness, which ``_cc_bar_witness``
+    reuses.
     """
-    parts, outcomes, rho, witnesses = [], set(), 0, [None, None]
-    for i, mod in enumerate((s1, s2)):
-        if not mod.residue or mod.ua_one_certificate is None:
+    results, rho, witnesses = [], 0, []
+    for mod, other, d in moduli:
+        if not d:
             continue
-        h, d, cert = mod.h, mod.residue, mod.ua_one_certificate
+        h = mod.h
         v = quadform_represents(h, d, bounds.quadform_bound)
-        outcomes.add(v.outcome)
         if v.outcome == "refuted":
-            detail = "no integer solution (exhaustive box)"
+            verdict, detail = "Obstructs", "no integer solution (exhaustive box)"
             rho = 2 if h in SMALL_H else rho
         elif v.outcome == "witness":
             assert form_value(h, v.x, v.y) == v.sign * d
-            detail = f"witness x = {v.x}, y = {v.y} gives {v.sign * d}"
-            witnesses[i] = v
+            verdict, detail = "NoObstruction", f"witness x = {v.x}, y = {v.y} gives {v.sign * d}"
+            witnesses.append((mod, other, v))
         else:
-            detail = f"inconclusive up to |x| <= {v.searched_bound}"
-        parts.append(f"mod {mod.label}: h = {h}, d = {d}: {detail} [u_a certificate: {cert}]")
-    name, certificate = "quadratic-form", "; ".join(parts) if parts else "hypotheses not met"
-    if "refuted" in outcomes:
-        return CriterionResult(name, True, "Obstructs", certificate, rho_lower=rho, dga_lower=2), witnesses
-    if parts and "inconclusive" not in outcomes:
-        return CriterionResult(name, True, "NoObstruction", certificate), witnesses
-    return CriterionResult(name, bool(parts), "Inconclusive", certificate), witnesses
+            verdict, detail = "Inconclusive", f"inconclusive up to |x| <= {v.searched_bound}"
+        cert = mod.ua_one_certificate
+        results.append((verdict, f"mod {mod.label}: h = {h}, d = {d}: {detail} [u_a certificate: {cert}]"))
+    quad = _combined("quadratic-form", results, "hypotheses not met", rho_lower=rho, dga_lower=2)
+    return quad, witnesses
 
 
-def _cc_bar_witness(
-    s1: _Side, s2: _Side, bounds: SearchBounds, quad: CriterionResult, witnesses
-) -> CriterionResult:
-    """Hypotheses: distinct polynomials and a side with a certified u_a = 1.
-    Looks for c with +-Delta' - c bar(c) a multiple of the Delta of each such
-    side, Delta' being the other side's; the first witness shows the
-    criterion cannot obstruct, so the verdict does not depend on the order
-    of the pair.  It certifies no bound of its own: it obstructs only when
-    the quadratic-form criterion (``quad``) already did.
+def _cc_bar_witness(moduli: list, bounds: SearchBounds, quad: CriterionResult, witnesses: list) -> CriterionResult:
+    """Hypotheses: a modulus, that is distinct polynomials and a side with a
+    certified u_a = 1.  Looks for c with +-Delta' - c bar(c) a multiple of
+    the Delta of each modulus, Delta' being the other side's; the first
+    witness shows the criterion cannot obstruct, so the verdict does not
+    depend on the order of the pair.  It certifies no bound of its own: it
+    obstructs only when the quadratic-form criterion (``quad``) already did.
 
-    A quadratic-form witness q(x, y) = s d modulo h_form(h) (``witnesses``,
-    one per side) gives c = h x t + y with sign s, since
-    c bar(c) - q(x, y) = x y h_form(h) and Delta' = d modulo it.  Those are
-    taken first, side by side in argument order; only then is a finite
-    window searched modulo each certified side in argument order."""
+    A quadratic-form witness q(x, y) = s d modulo h_form(h) (``witnesses``)
+    gives c = h x t + y with sign s, since c bar(c) - q(x, y) =
+    x y h_form(h) and Delta' = d modulo it.  Those are taken first, in
+    argument order; only then is a finite window searched modulo each
+    modulus in argument order."""
     name = "cc-bar-witness"
-    if s1.delta == s2.delta or (s1.ua_one_certificate is None and s2.ua_one_certificate is None):
-        needs = "requires distinct polynomials and a certified u_a = 1 side"
-        return CriterionResult(name, False, "Inconclusive", needs)
+    if not moduli:
+        return CriterionResult(name, False, "Inconclusive", _NEEDS_MODULUS)
     if quad.verdict == "Obstructs":
         implied = "no witness exists: implied by the quadratic-form refutation"
         return CriterionResult(name, True, "Obstructs", implied)
     max_breadth, max_coeff = bounds.cc_max_breadth, bounds.cc_max_coeff
-    pairs = ((s1, s2), (s2, s1))
     constructed = (
-        (side, other, CcBarWitness(LaurentPoly({1: side.h * v.x, 0: v.y}), v.sign))
-        for (side, other), v in zip(pairs, witnesses)
-        if v is not None
+        (mod, other, CcBarWitness(LaurentPoly({1: mod.h * v.x, 0: v.y}), v.sign))
+        for mod, other, v in witnesses
     )
     searched = (
-        (side, other, cc_bar_witness_search(side.delta, other.delta, max_breadth, max_coeff))
-        for side, other in pairs
-        if side.ua_one_certificate is not None
+        (mod, other, cc_bar_witness_search(mod.delta, other.delta, max_breadth, max_coeff))
+        for mod, other, _ in moduli
     )
-    for side, other, witness in itertools.chain(constructed, searched):
+    for mod, other, witness in itertools.chain(constructed, searched):
         if witness is not None:
             c, sign = witness
-            assert is_multiple(sign * other.delta - c * c.bar(), side.delta)
-            found = f"mod {side.label}: c = {c}, sign = {sign:+d}"
+            assert is_multiple(sign * other.delta - c * c.bar(), mod.delta)
+            found = f"mod {mod.label}: c = {c}, sign = {sign:+d}"
             return CriterionResult(name, True, "NoObstruction", found)
     window = f"breadth <= {max_breadth}, coefficients <= {max_coeff}"
     return CriterionResult(name, True, "Inconclusive", f"no witness with {window}")
 
 
-def _murakami(s1: _Side, s2: _Side) -> CriterionResult:
-    """Hypothesis: odd positive knot determinants on both sides, which every
-    Alexander polynomial has.  No d with 4d^2 = +-(D1 - D2) mod 2 D1 gives
-    dg >= 2; a factoring or root budget that runs out gives Inconclusive."""
-    mur = murakami_obstruction(s1.det, s2.det)
-    relation = f"4d^2 = +-({s1.det} - {s2.det}) mod {2 * s1.det}"
-    if mur.undecided:
-        return CriterionResult("murakami", True, "Inconclusive", f"{relation} undecided: {mur.undecided}")
-    if mur.obstructs:
-        none = f"no d with {relation}; unknotting number one with distance one is impossible"
-        return CriterionResult("murakami", True, "Obstructs", none, dg_lower=2)
-    found = f"d = {mur.witness} satisfies {relation}"
-    return CriterionResult("murakami", True, "NoObstruction", found)
+def _murakami(moduli: list) -> CriterionResult:
+    """The double branched cover condition, tried modulo each modulus.
+
+    Hypothesis: a modulus, whose certified u_a = 1 makes the linking form
+    of its double branched cover cyclic and isomorphic to +-2/D, D its knot
+    determinant (Lickorish, "The unknotting number of a classical knot",
+    1985; H. Murakami, "Some metrics on classical knots", 1985).  With D'
+    the other side's determinant, no d with 4d^2 = +-(D - D') mod 2D gives
+    dg >= 2; a factoring or root budget that runs out gives Inconclusive.
+    """
+    results = []
+    for mod, other, _ in moduli:
+        mur = murakami_obstruction(mod.det, other.det)
+        relation = f"4d^2 = +-({mod.det} - {other.det}) mod {2 * mod.det}"
+        if mur.undecided:
+            verdict, detail = "Inconclusive", f"{relation} undecided: {mur.undecided}"
+        elif mur.obstructs:
+            verdict, detail = "Obstructs", f"no d with {relation}"
+        else:
+            verdict, detail = "NoObstruction", f"d = {mur.witness} satisfies {relation}"
+        cert = mod.ua_one_certificate
+        results.append((verdict, f"mod {mod.label}: {detail} [u_a certificate: {cert}]"))
+    return _combined("murakami", results, _NEEDS_MODULUS, dg_lower=2)
 
 
 def _signature(s1: _Side, s2: _Side) -> CriterionResult:
@@ -679,11 +704,12 @@ def build_report(
     for ua in (ua1, ua2):
         if ua is not None and ua < 0:
             raise ValueError("u_a values must be nonnegative")
-    s1, s2 = _sides(input1, input2, ua1, ua2, label1, label2)
-    alex, parity = _alexander_distance(s1, s2), _parity(s1, s2)
-    quad, witnesses = _quadratic_form(s1, s2, bounds)
-    cc_bar = _cc_bar_witness(s1, s2, bounds, quad, witnesses)
-    criteria = (alex, parity, quad, cc_bar, _murakami(s1, s2), _signature(s1, s2))
+    s1, s2 = _make_side(input1, ua1, label1), _make_side(input2, ua2, label2)
+    moduli = _moduli(s1, s2)
+    alex, parity = _alexander_distance(s1, s2), _parity(moduli)
+    quad, witnesses = _quadratic_form(moduli, bounds)
+    cc_bar = _cc_bar_witness(moduli, bounds, quad, witnesses)
+    criteria = (alex, parity, quad, cc_bar, _murakami(moduli), _signature(s1, s2))
     rho_lower = max(c.rho_lower for c in criteria)
     dga_lower = max(rho_lower, *(c.dga_lower for c in criteria))
     dg_lower = max(dga_lower, *(c.dg_lower for c in criteria))

@@ -138,9 +138,6 @@ class SeifertMatrix:
     def __repr__(self):
         return f"SeifertMatrix({[list(r) for r in self.rows]})"
 
-    def to_text(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
-
 
 def parse_matrix_text(text: str) -> SeifertMatrix:
     """Parse the matrix file format: one row per line, integers separated

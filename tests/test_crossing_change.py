@@ -21,7 +21,7 @@ SEEDS = (1, 2, 3)
 SIZES = (2, 4, 6)
 PAIRS_PER_SIZE = 25  # two signs each: 150 pairs per seed
 BOUNDS = SearchBounds(2, 2, 60)
-SOUND = ("alexander-distance", "parity", "quadratic-form", "cc-bar-witness", "signature")
+SOUND = ("alexander-distance", "parity", "quadratic-form", "cc-bar-witness", "murakami", "signature")
 
 
 def crossing_change_pairs(seed):
@@ -60,20 +60,8 @@ def test_sound_criteria_stay_at_most_one(reports):
         if c.name in SOUND and _above_one(c)
     ]
     assert over == []
+    assert [(r.label1, r.label2) for r in reports if r.dg_lower > 1] == []
     # not vacuous: every criterion applies to some pair, and most pairs
     # have distinct polynomials, so a bound of 1 is certified
     assert {c.name for r in reports for c in r.criteria if c.applicable} >= set(SOUND)
     assert sum(r.rho_lower == 1 for r in reports) > len(reports) // 2
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1(a): murakami certifies dg_lower 2 at Gordian distance one",
-)
-def test_murakami_and_report_bounds_stay_at_most_one(reports):
-    over = [
-        (r.label1, r.label2)
-        for r in reports
-        if r.dg_lower > 1 or any(c.name == "murakami" and _above_one(c) for c in r.criteria)
-    ]
-    assert over == []

@@ -8,7 +8,15 @@ import pytest
 
 from gordian import laurent, numtheory, obstruct
 from gordian.laurent import LaurentPoly, divmod_rational, is_multiple
-from gordian.seifert import KnotInvariants, SeifertMatrix, alexander, check_alexander, h_form
+from gordian.seifert import (
+    SMALL_H,
+    KnotInvariants,
+    SeifertMatrix,
+    alexander,
+    check_alexander,
+    double_cover_cyclic,
+    h_form,
+)
 from gordian.obstruct import (
     SearchBounds,
     build_report,
@@ -340,7 +348,7 @@ class TestExactDecisions:
             lambda: murakami_obstruction(31127438948794653, 3),
             lambda: quadform_represents(1, 100000007),
             lambda: quadform_represents(2, 300000001),
-            lambda: build_report(TestExactDecisions.BIG, TestExactDecisions.OTHER, bounds=SMALL),
+            lambda: build_report(alexander(TestExactDecisions.BIG), TestExactDecisions.OTHER, ua1=1, bounds=SMALL),
         ],
         ids=["murakami-8x8", "murakami-prime", "murakami-31e15", "definite-1", "definite-2", "obstruct-8x8"],
     )
@@ -353,8 +361,13 @@ class TestExactDecisions:
         det = obstruct.knot_determinant(self.BIG)
         assert det > 10**15
         assert murakami_obstruction(det, 3).obstructs
-        report = build_report(self.BIG, self.OTHER, bounds=SMALL)
-        assert {c.name: c for c in report.criteria}["murakami"].verdict == "Obstructs"
+        # murakami needs a certified u_a = 1 on its modulus, and a matrix side
+        # takes that claim only with cyclic H1, so the large side is given as
+        # its polynomial
+        report = build_report(alexander(self.BIG), self.OTHER, ua1=1, bounds=SMALL)
+        murakami = {c.name: c for c in report.criteria}["murakami"]
+        assert murakami.verdict == "Obstructs"
+        assert murakami.certificate.startswith(f"mod {alexander(self.BIG)}: no d with 4d^2 = +-({det} - ")
         assert report.dg_lower == 2
         prime = 10**18 + 9
         mur = murakami_obstruction(prime, 3)
@@ -377,9 +390,10 @@ class TestExactDecisions:
         mur = murakami_obstruction(det, 3)
         assert (mur.obstructs, mur.witness) == (False, None)
         assert "factoring budget of 10 Pollard-Brent steps" in mur.undecided
-        # |Delta(-1)| = 4h - 1 = det for h_form(h), and 3 for the other side;
-        # neither side has a u_a certificate, so no bounded search runs
-        report = build_report(h_form(250009000025), P("t^2+t-3+t^-1+t^-2"))
+        # |Delta(-1)| = 4h - 1 = det for h_form(h), and 3 for the other side.
+        # The first side is the modulus; |h| is not prime, so it has no
+        # quadratic-form route, and only the small cc-bar window is searched
+        report = build_report(h_form(250009000025), P("t^2+t-3+t^-1+t^-2"), ua1=1, bounds=SMALL)
         by_name = {c.name: c for c in report.criteria}
         murakami = by_name["murakami"]
         assert (murakami.applicable, murakami.verdict) == (True, "Inconclusive")
@@ -645,6 +659,15 @@ def _criterion(report, name):
 
 
 class TestOrderFree:
+    def test_bounds_are_the_same_in_both_orders(self, swapped_reports):
+        assert len(swapped_reports) > 500
+        differ = [
+            (r12.label1, r12.label2)
+            for r12, r21 in swapped_reports
+            if (r12.rho_lower, r12.dga_lower, r12.dg_lower) != (r21.rho_lower, r21.dga_lower, r21.dg_lower)
+        ]
+        assert differ == []
+
     def test_cc_bar_verdict_is_the_same_in_both_orders(self, swapped_reports):
         # the window is searched modulo every side with a certified u_a = 1
         assert len(swapped_reports) > 500
@@ -775,19 +798,28 @@ class TestHFormResidue:
 
 class TestOneResiduePerModulus:
     """Parity and quadratic-form read one residue per modulus: a report
-    evaluates the other side's polynomial once for each side whose |h| is
-    prime or 1, only when the two polynomials differ, and divides by no
-    polynomial unless the cc-bar criterion applies."""
+    evaluates the other side's polynomial once for each side with a
+    certified u_a = 1 whose |h| is prime or 1, only when the two
+    polynomials differ, and divides by no polynomial unless the cc-bar
+    criterion applies."""
 
     @staticmethod
-    def expected_residues(x, y):
+    def certified(value, h, ua):
+        """The three u_a = 1 rules: a user value, h in SMALL_H, and a 2x2
+        matrix with -h in SMALL_H whose double cover has cyclic H1."""
+        if ua == 1 or h in SMALL_H:
+            return True
+        return isinstance(value, SeifertMatrix) and value.size == 2 and -h in SMALL_H and double_cover_cyclic(value)
+
+    @classmethod
+    def expected_residues(cls, x, y, u1, u2):
         deltas = [alexander(v) if isinstance(v, SeifertMatrix) else v for v in (x, y)]
         if deltas[0] == deltas[1]:
             return []
         out = []
-        for mod, other in (deltas, deltas[::-1]):
+        for (mod, other), value, ua in zip((deltas, deltas[::-1]), (x, y), (u1, u2)):
             h = mod.coeff(1)
-            if h and mod == h_form(h) and (abs(h) == 1 or numtheory.is_prime(abs(h))):
+            if h and mod == h_form(h) and (abs(h) == 1 or numtheory.is_prime(abs(h))) and cls.certified(value, h, ua):
                 out.append((other, mod))
         return out
 
@@ -820,7 +852,7 @@ class TestOneResiduePerModulus:
                     assert calls == [] and divisions == []
                     continue
                 report = None  # supplied u_a values contradict a certified bound
-            assert calls == self.expected_residues(x, y)
+            assert calls == self.expected_residues(x, y, u1, u2)
             by_trefoil += sum(mod == TREFOIL_DELTA for _, mod in calls)
             if report is not None and not _criterion(report, "cc-bar-witness").applicable:
                 assert divisions == [], (report.label1, report.label2)

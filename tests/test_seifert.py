@@ -618,9 +618,6 @@ class TestMatrixFile:
         with pytest.raises(InvalidMatrixError, match="integers"):
             parse_matrix_text("1 x\n0 1\n")
 
-    def test_round_trip(self):
-        assert parse_matrix_text(TREFOIL.to_text()) == TREFOIL
-
 
 class TestPresentationEntries:
     def test_trefoil_entries(self):

@@ -19,8 +19,6 @@ from gordian.tables import load_entries
 
 KS = range(1, 7)
 BOUNDS = SearchBounds(2, 2, 60)
-# murakami certifies dg_lower 2 on these pairs at distance one (ROADMAP item 1)
-MURAKAMI_FALSE = {(2, 1), (2, 3), (6, 5)}
 KINDS = ("matrix", "polynomial")
 
 
@@ -50,28 +48,17 @@ def test_signature_and_trefoil():
         assert signature(torus_matrix(k)) == -2 * k
 
 
-def test_no_bound_but_murakami_exceeds_the_distance(reports):
+def test_no_bound_exceeds_the_distance(reports):
     assert len(reports) == 60
     for a, b, kind, r in reports:
         known = abs(a - b)
-        assert r.rho_lower <= known and r.dga_lower <= known, (a, b, kind)
+        assert r.rho_lower <= known and r.dga_lower <= known and r.dg_lower <= known, (a, b, kind)
         for c in r.criteria:
-            if c.name != "murakami":
-                assert max(c.rho_lower, c.dga_lower, c.dg_lower) <= known, (a, b, kind, c)
-        if (a, b) not in MURAKAMI_FALSE:
-            assert r.dg_lower <= known, (a, b, kind)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("a, b", sorted(MURAKAMI_FALSE))
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(a): murakami certifies dg_lower 2 at distance one")
-def test_murakami_stays_at_the_distance(a, b, kind):
-    report = build_report(_input(a, kind), _input(b, kind), bounds=BOUNDS)
-    assert report.dg_lower <= abs(a - b)
+            assert max(c.rho_lower, c.dga_lower, c.dg_lower) <= known, (a, b, kind, c)
 
 
 def test_share_of_exact_bounds(reports):
     # floors measured on this corpus; a new criterion should raise them
     matrix = [(a, b, r) for a, b, kind, r in reports if kind == "matrix"]
     assert sum(r.dga_lower == abs(a - b) for a, b, r in matrix) >= 10
-    assert sum(r.dg_lower == abs(a - b) for a, b, _, r in reports) >= 34
+    assert sum(r.dg_lower == abs(a - b) for a, b, _, r in reports) >= 40
