@@ -27,7 +27,6 @@ from .seifert import (
     KnotInvariants,
     SeifertMatrix,
     alexander,
-    check_alexander,
     parse_matrix_text,
 )
 from .blanchfield import gram_matrix
@@ -116,7 +115,7 @@ def _obstruct_input(delta_text, matrix_path, which):
     if (delta_text is None) == (matrix_path is None):
         raise UsageError(f"provide exactly one of --delta{which} or --matrix{which}")
     if delta_text is not None:
-        return check_alexander(LaurentPoly.parse(delta_text))
+        return LaurentPoly.parse(delta_text)
     return _load_matrix(matrix_path)
 
 
@@ -131,7 +130,7 @@ def _parse_manifest_token(token: str):
     token = token.strip()
     if os.path.exists(token):
         return _load_matrix(token)
-    return check_alexander(LaurentPoly.parse(token))
+    return LaurentPoly.parse(token)
 
 
 def cmd_obstruct(args, out) -> int:

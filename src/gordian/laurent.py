@@ -49,14 +49,14 @@ class LaurentPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        if not terms:
-            self.terms = {}
-        elif hasattr(terms, "items"):
+        if isinstance(terms, str):
+            raise ValueError(f"LaurentPoly takes terms, not text: use LaurentPoly.parse({terms!r})")
+        if hasattr(terms, "items"):
             # a mapping holds each exponent once: nothing to merge
             self.terms = _canonical(terms)
         else:
             table = {}
-            for exp, coeff in terms:
+            for exp, coeff in terms or ():
                 table[exp] = table.get(exp, 0) + coeff
             self.terms = _canonical(table)
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import cli_equivalence
-from gordian import cli
+from gordian import cli, obstruct, seifert
 from gordian.cli import main
 
 TREFOIL_TEXT = "-1 1\n0 -1\n"
@@ -227,6 +227,42 @@ class TestObstruct:
         first, second = out.split("pair: 2")
         assert "rho_lower: 2" in first
         assert "rho_lower: 0" in second
+
+    def test_each_polynomial_is_checked_once(self, monkeypatch, capsys, tmp_path, trefoil_file):
+        # count the check under every name a gordian module binds it to
+        calls = []
+        real = seifert.check_alexander
+
+        def counting(delta):
+            calls.append(str(delta))
+            return real(delta)
+
+        for module in (seifert, obstruct, cli):
+            if hasattr(module, "check_alexander"):
+                monkeypatch.setattr(module, "check_alexander", counting)
+        code, _, _ = run(capsys, ["obstruct", *cli_equivalence.BUNDLED])
+        assert code == 0
+        assert calls == ["t-1+t^-1", "-3t^2+12t-17+12t^-1-3t^-2"]
+        calls.clear()
+        manifest = tmp_path / "pairs.txt"
+        manifest.write_text(f"{trefoil_file} | -3t^2+12t-17+12t^-1-3t^-2\nt-1+t^-1 | -t+3-t^-1\n")
+        code, _, _ = run(capsys, ["obstruct", "--manifest", str(manifest)])
+        assert code == 0
+        assert calls == ["-3t^2+12t-17+12t^-1-3t^-2", "t-1+t^-1", "-t+3-t^-1"]
+
+    def test_missing_input_wins_over_an_invalid_polynomial(self, capsys):
+        # the CLI only parses; the polynomial check comes with the report
+        code, out, err = run(capsys, ["obstruct", "--delta1", "2"])
+        assert (code, out) == (1, "")
+        assert err == "usage error: provide exactly one of --delta2 or --matrix2\n"
+
+    def test_manifest_line_without_a_bar(self, capsys, tmp_path):
+        manifest = tmp_path / "pairs.txt"
+        manifest.write_text("t-1+t^-1 | t-1+t^-1\nt-1+t^-1 -t+3-t^-1\n")
+        code, out, err = run(capsys, ["obstruct", "--manifest", str(manifest)])
+        assert code == 2
+        assert out.startswith("pair: 1\n") and "pair: 2" not in out
+        assert err == "error: manifest line needs two inputs separated by |: 't-1+t^-1 -t+3-t^-1'\n"
 
     @pytest.mark.parametrize(
         "extra, complaint",

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gordian.laurent import LaurentPoly, PolyParseError, divmod_rational, is_multiple
+from gordian.seifert import h_form
 
 L = LaurentPoly
 
@@ -52,6 +53,11 @@ class TestConstruction:
         p = L([(1, 2), (0, 5), (1, -2), (3, 1), (0, -5), (0, 4)])
         assert p.terms == {3: 1, 0: 4}
         assert L([(2, 1), (2, -1)]).terms == {}
+
+    def test_text_is_refused_with_a_pointer_to_parse(self):
+        for text in ("t-1+t^-1", "t", ""):
+            with pytest.raises(ValueError, match=r"LaurentPoly\.parse"):
+                L(text)
 
     def test_integral_fractions_become_int(self):
         half = Fraction(1, 2)
@@ -266,6 +272,42 @@ class TestIsMultiple:
 
     def test_zero_is_multiple(self):
         assert is_multiple(L.zero(), P("t-1"))
+
+
+class TestOneRemainderDecidesBothSigns:
+    """An Alexander polynomial is primitive, since Delta(1) = 1.  So by
+    Gauss's lemma an integer polynomial is a multiple of Delta exactly when
+    its remainder is 0, and as the remainder is linear, s*dp - c*bar(c) is
+    a multiple exactly when rem(c*bar(c)) == s*rem(dp), for either sign s."""
+
+    @staticmethod
+    def random_alexander(rng):
+        half = {e: rng.randint(-9, 9) for e in range(1, rng.randint(1, 4) + 1)}
+        terms = {0: 1 - 2 * sum(half.values())}
+        for e, c in half.items():
+            terms[e] = terms[-e] = c
+        return L(terms)
+
+    def test_against_is_multiple(self):
+        rng = random.Random(19)
+        moduli = [h_form(h) for h in range(-6, 7) if h]
+        moduli += [self.random_alexander(rng) for _ in range(12)]
+        hits = misses = 0
+        for delta in moduli:
+            assert delta.evaluate(1) == 1 and delta.is_bar_symmetric()
+            for _ in range(15):
+                c = random_poly(rng, max_exp=2, max_coeff=4)
+                cc = c * c.bar()
+                s = rng.choice((1, -1))
+                # a random dp, and a constructed hit for the sign s
+                for dp in (random_poly(rng), s * cc + delta * random_poly(rng, max_exp=2, max_coeff=5)):
+                    rem_cc, rem_dp = divmod_rational(cc, delta)[1], divmod_rational(dp, delta)[1]
+                    for sign in (1, -1):
+                        hit = is_multiple(sign * dp - cc, delta)
+                        assert hit == (rem_cc == sign * rem_dp), (delta, c, dp, sign)
+                        hits += hit
+                        misses += not hit
+        assert hits >= len(moduli) * 15 and misses > 0
 
 
 class TestRingAxioms:
