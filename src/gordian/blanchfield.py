@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .laurent import LaurentPoly, is_multiple
-from .seifert import SeifertMatrix, adjugate_laurent, alexander, det_bordered, det_laurent
+from .seifert import SeifertMatrix, _layout, _unbordered, adjugate_laurent, alexander, det_bordered, det_laurent
 
 T_MINUS_1 = LaurentPoly({1: 1, 0: -1})
 
@@ -60,9 +60,8 @@ def _as_coords(v, n):
     if len(coords) != n:
         raise ValueError(f"module element must have {n} coordinates")
     for p in coords:
-        for c in p.terms.values():
-            if not isinstance(c, int):
-                raise ValueError(f"module element coefficients must be integers, got {c}")
+        if not p.is_integral:
+            raise ValueError(f"module element coefficients must be integers, got {p}")
     return coords
 
 
@@ -92,35 +91,20 @@ def gram_matrix(V: SeifertMatrix):
     return [[TorsionFraction(T_MINUS_1 * a, den) for a in row] for row in adjugate_laurent(V.rows)]
 
 
-def _check_literal_border(outer: SeifertMatrix, inner: SeifertMatrix) -> int:
-    """Verify outer = [[eps,0,0],[1,x,M],[0,N^T,inner]] and return eps."""
-    m = outer.size
-    if m != inner.size + 2:
-        raise ValueError("outer matrix must be two rows larger than the inner one")
-    rows = outer.rows
-    eps = rows[0][0]
-    ok = (
-        eps in (1, -1)
-        and all(rows[0][j] == 0 for j in range(1, m))
-        and rows[1][0] == 1
-        and all(rows[i][0] == 0 for i in range(2, m))
-        and all(rows[i + 2][j + 2] == inner[i][j] for i in range(inner.size) for j in range(inner.size))
-    )
-    if not ok:
-        raise ValueError("outer matrix is not a literal border of the inner matrix")
-    return eps
-
-
 def border_self_pairing_check(outer: SeifertMatrix, inner: SeifertMatrix) -> bool:
     """For a once-bordered matrix, the self-pairing of the new generator
     equals eps * Delta(inner) / Delta(outer) modulo the ring.
 
-    The outer matrix must literally be [[eps,0,0],[1,x,M],[0,N^T,inner]].
+    The outer matrix must literally be [[eps,0,0],[1,x,M],[0,N^T,inner]],
+    the a+ border of inner.
     """
-    eps = _check_literal_border(outer, inner)
+    if outer.size != inner.size + 2:
+        raise ValueError("outer matrix must be two rows larger than the inner one")
+    eps = outer[0][0]
+    if eps not in (1, -1) or _unbordered(outer, *_layout("a+", eps)) != inner.rows:
+        raise ValueError("outer matrix is not a literal border of the inner matrix")
     # the (0, 0) cofactor of V - tV^T is the pencil of V without row and column 0
     cof = det_laurent([row[1:] for row in outer.rows[1:]])
-    delta = alexander(outer)
-    entry = TorsionFraction(T_MINUS_1 * cof, delta.shift(outer.size // 2))
-    target = TorsionFraction(LaurentPoly.const(eps) * alexander(inner), delta)
+    entry = TorsionFraction(T_MINUS_1 * cof, _denominator(outer))
+    target = TorsionFraction(LaurentPoly.const(eps) * alexander(inner), alexander(outer))
     return fractions_equal(entry, target)

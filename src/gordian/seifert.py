@@ -451,6 +451,20 @@ def congruent_transform(V: SeifertMatrix, P) -> SeifertMatrix:
     return SeifertMatrix(product)
 
 
+# The layout of each border is its first row, (corner, right), and the start
+# of its second row, (below,).  The corner holds an unknotting step's eps and
+# an enlargement's 0, so this table keeps (right, below) for each kind.
+_LAYOUTS = {"row-border": (0, 1), "column-border": (1, 0), "a+": (0, 1), "a-": (0, -1), "b+": (1, 0), "b-": (-1, 0)}
+_ENLARGEMENTS = ("row-border", "column-border")
+BORDER_VARIANTS = ("a+", "a-", "b+", "b-")
+
+
+def _layout(kind, corner=0):
+    """The first row and the start of the second row of a border."""
+    right, below = _LAYOUTS[kind]
+    return [corner, right], [below]
+
+
 def _bordered(first_row, second_prefix, x, M, N, V):
     n = V.size
     if len(M) != n or len(N) != n:
@@ -462,39 +476,35 @@ def _bordered(first_row, second_prefix, x, M, N, V):
     return SeifertMatrix(rows)
 
 
+def _unbordered(W: SeifertMatrix, first_row, second_prefix):
+    """The inner rows of W when it is _bordered(first_row, second_prefix,
+    x, M, N, inner) for some x, M, N and inner; None when W does not have
+    that layout."""
+    rows = W.rows
+    if (
+        len(rows) < 2
+        or rows[0] != (*first_row, *[0] * (len(rows) - 2))
+        or rows[1][: len(second_prefix)] != tuple(second_prefix)
+        or any(row[0] for row in rows[2:])
+    ):
+        return None
+    return tuple(row[2:] for row in rows[2:])
+
+
 def enlarge(V: SeifertMatrix, kind: str, x: int, M, N) -> SeifertMatrix:
     """One stabilisation step: border V with the row or column block pattern."""
-    if kind == "row-border":
-        return _bordered([0, 0], [1], x, M, N, V)
-    if kind == "column-border":
-        return _bordered([0, 1], [0], x, M, N, V)
-    raise ValueError(f"kind must be row-border or column-border, got {kind!r}")
+    if kind not in _ENLARGEMENTS:
+        raise ValueError(f"kind must be row-border or column-border, got {kind!r}")
+    return _bordered(*_layout(kind), x, M, N, V)
 
 
 def try_reduce(W: SeifertMatrix):
-    """Undo a literal enlargement block; None when W matches neither pattern."""
-    m = W.size
-    if m < 2:
-        return None
-    rows = W.rows
-    inner = [row[2:] for row in rows[2:]]
-    col0 = [rows[i][0] for i in range(m)]
-    row_pattern = (
-        all(c == 0 for c in rows[0])
-        and col0[1] == 1
-        and all(col0[i] == 0 for i in range(2, m))
-    )
-    col_pattern = (
-        all(c == 0 for c in col0)
-        and rows[0][1] == 1
-        and all(rows[0][j] == 0 for j in range(2, m))
-    )
-    if row_pattern or col_pattern:
-        return SeifertMatrix(inner)
+    """Undo an enlargement; None when W has neither enlargement's layout."""
+    for kind in _ENLARGEMENTS:
+        inner = _unbordered(W, *_layout(kind))
+        if inner is not None:
+            return SeifertMatrix(inner)
     return None
-
-
-BORDER_VARIANTS = ("a+", "a-", "b+", "b-")
 
 
 def unknotting_border(
@@ -511,10 +521,7 @@ def unknotting_border(
         raise ValueError(f"eps must be +1 or -1, got {eps}")
     if variant not in BORDER_VARIANTS:
         raise ValueError(f"variant must be one of {BORDER_VARIANTS}, got {variant!r}")
-    s = 1 if variant.endswith("+") else -1
-    if variant.startswith("a"):
-        return _bordered([eps, 0], [s], x, M, N, W)
-    return _bordered([eps, s], [0], x, M, N, W)
+    return _bordered(*_layout(variant, eps), x, M, N, W)
 
 
 # -- h-form polynomials --------------------------------------------------------------

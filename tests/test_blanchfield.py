@@ -6,7 +6,7 @@ import pytest
 from gordian import seifert
 
 from gordian.laurent import LaurentPoly, is_multiple
-from gordian.seifert import SeifertMatrix, alexander, det_laurent, enlarge
+from gordian.seifert import SeifertMatrix, alexander, det_laurent, enlarge, unknotting_border
 from gordian.blanchfield import (
     TorsionFraction,
     adjugate_laurent,
@@ -246,6 +246,9 @@ class TestPairingBySubstitution:
             pairing(TREFOIL, [Fraction(1, 2), 0], [1, 0])
         with pytest.raises(ValueError, match="integers"):
             pairing(TREFOIL, [1, 0], [0, LaurentPoly({1: Fraction(3, 2), 0: 1})])
+        # the error names the coordinate, whatever the kind of its coefficient
+        with pytest.raises(ValueError, match=r"integers, got 0\.5t-1$"):
+            pairing(TREFOIL, [LaurentPoly({1: 0.5, 0: -1}), 0], [1, 0])
         # an integral Fraction is an integer
         assert pairing(TREFOIL, [Fraction(4, 2), 0], [1, 0]) == pairing(TREFOIL, [2, 0], [1, 0])
 
@@ -296,8 +299,6 @@ class TestBorderSelfPairing:
         assert fractions_equal(gram[0][0], TorsionFraction(P("-1"), P("t+t^-1-1")))
 
     def test_random_borders(self):
-        from gordian.seifert import unknotting_border
-
         rng = random.Random(43)
         for i in range(60):
             inner = random_seifert(rng, (0, 2, 4)[i % 3])
@@ -313,8 +314,6 @@ class TestBorderSelfPairing:
             assert border_self_pairing_check(outer, inner)
 
     def test_sign_flip_fails_generically(self):
-        from gordian.seifert import unknotting_border
-
         rng = random.Random(47)
         flips_rejected = 0
         for i in range(40):
@@ -347,5 +346,16 @@ class TestBorderSelfPairing:
             border_self_pairing_check(TREFOIL, TREFOIL)
 
     def test_not_literal_border(self):
-        with pytest.raises(ValueError, match="literal border"):
-            border_self_pairing_check(TREFOIL, SeifertMatrix([]))
+        # the a+ layout with eps = +-1 is the only one accepted: not an
+        # unbordered matrix, another variant, an enlargement (eps = 0), the a+
+        # border of another inner matrix, or a 1 below the border in column 0
+        fig8 = SeifertMatrix([[1, 1], [0, -1]])
+        for outer, inner in (
+            (TREFOIL, SeifertMatrix([])),
+            (unknotting_border(TREFOIL, 1, 0, [1, 0], [0, 1], "b+"), TREFOIL),
+            (enlarge(TREFOIL, "row-border", 0, [1, 0], [0, 1]), TREFOIL),
+            (unknotting_border(TREFOIL, -1, 0, [1, 0], [0, 1], "a+"), fig8),
+            (SeifertMatrix([[-1, 0, 0, 0], [1, 0, 0, 0], [1, 0, -1, 1], [0, 0, 0, -1]]), TREFOIL),
+        ):
+            with pytest.raises(ValueError, match="literal border"):
+                border_self_pairing_check(outer, inner)

@@ -12,6 +12,8 @@ from gordian.seifert import (
     SMALL_H,
     KnotInvariants,
     SeifertMatrix,
+    _layout,
+    _unbordered,
     adjugate_laurent,
     alexander,
     congruent_transform,
@@ -406,8 +408,26 @@ class TestEnlargeReduce:
             W = enlarge(V, kind, rng.randint(-3, 3), random_vector(rng, V.size), random_vector(rng, V.size))
             assert try_reduce(W) == V
 
+    def test_every_layout_is_undone_by_itself_alone(self):
+        # each border, with either eps for an unknotting step, is read back
+        # by its own layout and by no other: no enlargement is read as the
+        # other one, and try_reduce undoes exactly the enlargements
+        rng = random.Random(79)
+        borders = [("row-border", 0), ("column-border", 0)]
+        borders += [(variant, eps) for variant in BORDER_VARIANTS for eps in (1, -1)]
+        for size in (0, 2, 4):
+            V = random_seifert(rng, size)
+            for kind, eps in borders:
+                x, M, N = rng.randint(-3, 3), random_vector(rng, size), random_vector(rng, size)
+                W = unknotting_border(V, eps, x, M, N, kind) if eps else enlarge(V, kind, x, M, N)
+                for other in borders:
+                    assert _unbordered(W, *_layout(*other)) == (V.rows if other == (kind, eps) else None)
+                assert try_reduce(W) == (None if eps else V)
+
     def test_not_reducible(self):
         assert try_reduce(SeifertMatrix([[-1, 1], [0, -1]])) is None
+        # a row-border's first two rows, but a 1 below them in column 0
+        assert try_reduce(SeifertMatrix([[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, -1, 1], [0, 0, 0, -1]])) is None
 
     def test_reduce_example(self):
         assert try_reduce(SeifertMatrix([[0, 0], [1, 5]])) == SeifertMatrix([])
