@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .laurent import LaurentPoly, is_multiple
-from .seifert import SeifertMatrix, _layout, _unbordered, adjugate_laurent, alexander, det_bordered, det_laurent
+from .seifert import SeifertMatrix, _unbordered, adjugate_laurent, alexander, det_bordered, det_laurent
 
 T_MINUS_1 = LaurentPoly({1: 1, 0: -1})
 
@@ -101,7 +101,7 @@ def border_self_pairing_check(outer: SeifertMatrix, inner: SeifertMatrix) -> boo
     if outer.size != inner.size + 2:
         raise ValueError("outer matrix must be two rows larger than the inner one")
     eps = outer[0][0]
-    if eps not in (1, -1) or _unbordered(outer, *_layout("a+", eps)) != inner.rows:
+    if eps not in (1, -1) or _unbordered(outer, "a+", eps) != inner.rows:
         raise ValueError("outer matrix is not a literal border of the inner matrix")
     # the (0, 0) cofactor of V - tV^T is the pencil of V without row and column 0
     cof = det_laurent([row[1:] for row in outer.rows[1:]])

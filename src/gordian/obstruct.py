@@ -236,10 +236,6 @@ def constant_residue(p: LaurentPoly, h: int) -> int | None:
     assert p.is_bar_symmetric(), f"{p} is not bar symmetric"
     terms, step, h2 = p.terms, 2 * h - 1, h * h
     top = max(terms, default=0)
-    # modulo h, N = c_K S_K = +-c_K (S_k = (-1)^k for k >= 1): when h does
-    # not divide c_K, which needs |h| >= 2, it does not divide N, nor h^K
-    if top and terms[top] % h:
-        return None
     num, s_prev, s_k = terms.get(0, 0), 2, step
     for k in range(1, top + 1):
         num = num * h + terms.get(k, 0) * s_k

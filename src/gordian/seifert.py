@@ -451,40 +451,35 @@ def congruent_transform(V: SeifertMatrix, P) -> SeifertMatrix:
     return SeifertMatrix(product)
 
 
-# The layout of each border is its first row, (corner, right), and the start
-# of its second row, (below,).  The corner holds an unknotting step's eps and
-# an enlargement's 0, so this table keeps (right, below) for each kind.
-_LAYOUTS = {"row-border": (0, 1), "column-border": (1, 0), "a+": (0, 1), "a-": (0, -1), "b+": (1, 0), "b-": (-1, 0)}
-_ENLARGEMENTS = ("row-border", "column-border")
-BORDER_VARIANTS = ("a+", "a-", "b+", "b-")
+# Each border puts (corner, right) in its first row and starts its second
+# row with below; this table keeps (right, below).  An unknotting step puts
+# its eps in the corner, and an enlargement is the corner-0 case of a+ or b+.
+_LAYOUTS = {"a+": (0, 1), "a-": (0, -1), "b+": (1, 0), "b-": (-1, 0)}
+_ENLARGEMENTS = {"row-border": "a+", "column-border": "b+"}
+BORDER_VARIANTS = tuple(_LAYOUTS)
 
 
-def _layout(kind, corner=0):
-    """The first row and the start of the second row of a border."""
-    right, below = _LAYOUTS[kind]
-    return [corner, right], [below]
-
-
-def _bordered(first_row, second_prefix, x, M, N, V):
+def _bordered(kind, corner, x, M, N, V):
     n = V.size
     if len(M) != n or len(N) != n:
         raise ValueError(f"border vectors must have length {n}")
+    right, below = _LAYOUTS[kind]
     # SeifertMatrix converts every entry, x, M and N included
-    rows = [list(first_row) + [0] * n, list(second_prefix) + [x, *M]]
+    rows = [[corner, right] + [0] * n, [below, x, *M]]
     for i in range(n):
         rows.append([0, N[i]] + list(V.rows[i]))
     return SeifertMatrix(rows)
 
 
-def _unbordered(W: SeifertMatrix, first_row, second_prefix):
-    """The inner rows of W when it is _bordered(first_row, second_prefix,
-    x, M, N, inner) for some x, M, N and inner; None when W does not have
-    that layout."""
+def _unbordered(W: SeifertMatrix, kind, corner=0):
+    """The inner rows of W when it is _bordered(kind, corner, x, M, N, inner)
+    for some x, M, N and inner; None when W does not have that layout."""
+    right, below = _LAYOUTS[kind]
     rows = W.rows
     if (
         len(rows) < 2
-        or rows[0] != (*first_row, *[0] * (len(rows) - 2))
-        or rows[1][: len(second_prefix)] != tuple(second_prefix)
+        or rows[0] != (corner, right, *[0] * (len(rows) - 2))
+        or rows[1][0] != below
         or any(row[0] for row in rows[2:])
     ):
         return None
@@ -495,13 +490,13 @@ def enlarge(V: SeifertMatrix, kind: str, x: int, M, N) -> SeifertMatrix:
     """One stabilisation step: border V with the row or column block pattern."""
     if kind not in _ENLARGEMENTS:
         raise ValueError(f"kind must be row-border or column-border, got {kind!r}")
-    return _bordered(*_layout(kind), x, M, N, V)
+    return _bordered(_ENLARGEMENTS[kind], 0, x, M, N, V)
 
 
 def try_reduce(W: SeifertMatrix):
     """Undo an enlargement; None when W has neither enlargement's layout."""
-    for kind in _ENLARGEMENTS:
-        inner = _unbordered(W, *_layout(kind))
+    for kind in _ENLARGEMENTS.values():
+        inner = _unbordered(W, kind)
         if inner is not None:
             return SeifertMatrix(inner)
     return None
@@ -521,7 +516,7 @@ def unknotting_border(
         raise ValueError(f"eps must be +1 or -1, got {eps}")
     if variant not in BORDER_VARIANTS:
         raise ValueError(f"variant must be one of {BORDER_VARIANTS}, got {variant!r}")
-    return _bordered(*_layout(variant, eps), x, M, N, W)
+    return _bordered(variant, eps, x, M, N, W)
 
 
 # -- h-form polynomials --------------------------------------------------------------

@@ -786,39 +786,6 @@ class TestHFormResidue:
                 zero += got == 0
         assert fractional > 1000 and zero >= 2 * len(self.H_RANGE)
 
-    @staticmethod
-    def by_recurrence(p, h):
-        """constant_residue's sum N / h^K, with no shortcut."""
-        top = max(p.terms, default=0)
-        num, s_prev, s_k = p.coeff(0), 2, 2 * h - 1
-        for k in range(1, top + 1):
-            num = num * h + p.coeff(k) * s_k
-            s_prev, s_k = s_k, (2 * h - 1) * s_k - h * h * s_prev
-        d, rest = divmod(num, h**top)
-        return None if rest else d
-
-    def test_equals_recurrence(self):
-        # the residue is the full sum's, whether or not the shortcut for a
-        # top coefficient that h does not divide is taken
-        rng = random.Random(20)
-        shortcut = 0
-        for _ in range(3000):
-            p, h = self.random_symmetric(rng), rng.choice(self.H_RANGE)
-            got = constant_residue(p, h)
-            assert got == self.by_recurrence(p, h), (p, h)
-            top = max(p.terms, default=0)
-            if top and p.coeff(top) % h:
-                shortcut += 1
-                assert got is None
-        assert 1000 < shortcut < 3000
-
-    def test_huge_top_exponent(self):
-        # 2 does not divide the top coefficient, so none of the 300000 terms
-        # of the sum is needed
-        start = time.perf_counter()
-        assert constant_residue(LaurentPoly({300000: 1, 0: -1, -300000: 1}), 2) is None
-        assert time.perf_counter() - start < 0.1
-
     def test_values(self):
         # at x0 = 1, t^2 + t^-2 = x0^2 - 2 = -1: -3 (-1) + 12 - 17 = -2
         assert constant_residue(DELTA_9_25, 1) == -2

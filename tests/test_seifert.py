@@ -12,7 +12,6 @@ from gordian.seifert import (
     SMALL_H,
     KnotInvariants,
     SeifertMatrix,
-    _layout,
     _unbordered,
     adjugate_laurent,
     alexander,
@@ -413,15 +412,18 @@ class TestEnlargeReduce:
         # by its own layout and by no other: no enlargement is read as the
         # other one, and try_reduce undoes exactly the enlargements
         rng = random.Random(79)
-        borders = [("row-border", 0), ("column-border", 0)]
-        borders += [(variant, eps) for variant in BORDER_VARIANTS for eps in (1, -1)]
+        enlargements = {("a+", 0): "row-border", ("b+", 0): "column-border"}
+        borders = [*enlargements, *((variant, eps) for variant in BORDER_VARIANTS for eps in (1, -1))]
         for size in (0, 2, 4):
             V = random_seifert(rng, size)
             for kind, eps in borders:
                 x, M, N = rng.randint(-3, 3), random_vector(rng, size), random_vector(rng, size)
-                W = unknotting_border(V, eps, x, M, N, kind) if eps else enlarge(V, kind, x, M, N)
+                if eps:
+                    W = unknotting_border(V, eps, x, M, N, kind)
+                else:
+                    W = enlarge(V, enlargements[kind, eps], x, M, N)
                 for other in borders:
-                    assert _unbordered(W, *_layout(*other)) == (V.rows if other == (kind, eps) else None)
+                    assert _unbordered(W, *other) == (V.rows if other == (kind, eps) else None)
                 assert try_reduce(W) == (None if eps else V)
 
     def test_not_reducible(self):
