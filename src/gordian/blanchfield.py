@@ -39,9 +39,6 @@ class TorsionFraction(namedtuple("TorsionFraction", ("num", "den"))):
         # _replace builds through _make: run the checks of __new__ there too
         return cls(*iterable)
 
-    def bar(self) -> "TorsionFraction":
-        return TorsionFraction(self.num.bar(), self.den.bar())
-
     def scale(self, factor: LaurentPoly) -> "TorsionFraction":
         return TorsionFraction(self.num * factor, self.den)
 

@@ -5,8 +5,8 @@ Pollard-Brent, square roots modulo n by Tonelli-Shanks, a Newton (Hensel)
 lift and the Chinese remainder theorem, the Jacobi symbol, and the unit of
 the Pell equation x^2 - D y^2 = 1 from the continued fraction of sqrt(D).
 
-Factoring and root enumeration stop at stated budgets by raising
-``Undecided``; a caller turns that into an inconclusive verdict.
+Factoring stops at stated limits by raising ``Undecided``; a caller turns
+that into an inconclusive verdict.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ TRIAL_LIMIT = 1000
 # A prime factor p takes on the order of sqrt(p) steps to split off, so this
 # reaches factors up to about 10^11.
 FACTOR_STEP_BUDGET = 1 << 20
-# residue classes the Chinese remainder combination may build: one per
-# choice of sign of the root modulo each prime power, so 2^k for k primes.
-ROOT_BUDGET = 1 << 16
 
 
 class Undecided(Exception):
@@ -180,18 +177,18 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
 
 
 def _prime_power_roots(a: int, p: int, k: int):
-    """The square roots of a modulo p^k, p an odd prime, as (m, residues):
-    x^2 = a mod p^k exactly when x mod m is one of ``residues``, m | p^k."""
+    """A root of x^2 = a mod p^k, p an odd prime, or None when there is none:
+    of the two root classes modulo m | p^k, the smaller residue (0 if p^k | a)."""
     pk = p**k
     a %= pk
     if a == 0:
-        return p ** ((k + 1) // 2), (0,)
+        return 0
     v = 0
     while a % p == 0:
         a //= p
         v += 1
     if v % 2 or pow(a, (p - 1) // 2, p) != 1:
-        return 1, ()
+        return None
     # x = p^(v/2) z with z^2 = a mod p^(k-v); z is only fixed mod p^(k-v),
     # so x is fixed mod p^(k-v/2)
     top = p ** (k - v)
@@ -201,27 +198,24 @@ def _prime_power_roots(a: int, p: int, k: int):
         z = (z - (z * z - a) * pow(2 * z, -1, mod)) % mod
     assert (z * z - a) % top == 0
     scale, m = p ** (v // 2), p ** (k - v // 2)
-    return m, tuple(sorted({scale * z % m, scale * (top - z) % m}))
+    return min(scale * z % m, scale * (top - z) % m)
 
 
-def smallest_square_root(a: int, n: int, factors: dict):
-    """The smallest x in [0, n) with x^2 = a mod n, or None when there is none.
+def square_root(a: int, n: int, factors: dict):
+    """An x in [0, n) with x^2 = a mod n, or None when there is none.
 
-    ``factors`` is the factorisation of the odd modulus n.  Raises Undecided
-    when the Chinese remainder combination would build more than ROOT_BUDGET
-    residue classes.
+    ``factors`` is the factorisation of the odd modulus n.  The roots modulo
+    its prime powers, in increasing order, are joined by the Chinese remainder
+    theorem.
     """
-    classes = [_prime_power_roots(a, p, k) for p, k in sorted(factors.items())]
-    if any(not roots for _, roots in classes):
-        return None
-    modulus, residues = 1, [0]
-    for m, roots in classes:
-        if len(residues) * len(roots) > ROOT_BUDGET:
-            raise Undecided(f"the root enumeration budget of {ROOT_BUDGET} residue classes ran out")
-        inv = pow(modulus, -1, m)
-        residues = [s + modulus * ((r - s) * inv % m) for s in residues for r in roots]
-        modulus *= m
-    x = min(residues)
+    x, modulus = 0, 1
+    for p, k in sorted(factors.items()):
+        r = _prime_power_roots(a, p, k)
+        if r is None:
+            return None
+        pk = p**k
+        x += modulus * ((r - x) * pow(modulus, -1, pk) % pk)
+        modulus *= pk
     assert (x * x - a) % n == 0
     return x
 

@@ -16,7 +16,7 @@ from collections import namedtuple
 from math import isqrt
 
 from .laurent import LaurentPoly, is_multiple
-from .numtheory import Undecided, factorize, is_prime, jacobi, pell_unit, smallest_square_root
+from .numtheory import Undecided, factorize, is_prime, jacobi, pell_unit, square_root
 from .seifert import (
     SMALL_H,
     SeifertMatrix,
@@ -311,8 +311,8 @@ def cc_bar_witness_search(
 class MurakamiVerdict(
     namedtuple("MurakamiVerdict", ("obstructs", "witness", "undecided"), defaults=(None,))
 ):
-    """``witness`` is the smallest d, None when none exists or when
-    ``undecided`` names the budget that stopped the decision."""
+    """``witness`` is a root d in [0, D), None when none exists or when
+    ``undecided`` names the factoring limit that stopped the decision."""
 
     __slots__ = ()
 
@@ -328,10 +328,11 @@ def murakami_obstruction(det1: int, det2: int) -> MurakamiVerdict:
 
     D and D' are odd, so both sides are even and the condition holds
     exactly when d mod D is a square root of +-(D - D') / 4 mod D, whatever
-    the parity of d: the smallest d in [0, 2D) is the smallest such root.
-    A Jacobi symbol of -1 for both signs refutes without factoring D;
-    otherwise the roots are built from the prime factorisation of D, and a
-    factoring or root budget that runs out leaves the verdict undecided.
+    the parity of d; the witness is a root d in [0, D), the smaller over the
+    two signs.  A Jacobi symbol of -1 for both signs refutes without
+    factoring D; otherwise one root per sign is built from the prime
+    factorisation of D, and a factoring limit that is reached leaves the
+    verdict undecided.
     """
     if det1 <= 0 or det2 <= 0:
         raise ValueError("knot determinants must be positive")
@@ -345,10 +346,9 @@ def murakami_obstruction(det1: int, det2: int) -> MurakamiVerdict:
         return MurakamiVerdict(True, None)
     try:
         factors = factorize(det1)
-        roots = [smallest_square_root(a, det1, factors) for a in targets]
     except Undecided as stop:
         return MurakamiVerdict(False, None, str(stop))
-    roots = [r for r in roots if r is not None]
+    roots = [r for r in (square_root(a, det1, factors) for a in targets) if r is not None]
     if not roots:
         return MurakamiVerdict(True, None)
     d = min(roots)

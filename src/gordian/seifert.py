@@ -357,8 +357,9 @@ def signature(V: SeifertMatrix) -> int:
                     row[k], row[swap] = row[swap], row[k]
             else:
                 j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if j is None:
-                    continue
+                # det(V + V^T) = +-Delta(-1) is odd, so the trailing block is
+                # nonsingular and has no zero row
+                assert j is not None, "V + V^T must be nonsingular"
                 for l in range(k, n):
                     a[k][l] += a[j][l]
                 for l in range(k, n):

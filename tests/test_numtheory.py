@@ -11,7 +11,7 @@ from gordian.numtheory import (
     is_prime,
     jacobi,
     pell_unit,
-    smallest_square_root,
+    square_root,
 )
 
 
@@ -100,20 +100,24 @@ class TestFactorize:
 
 
 class TestSquareRoots:
-    def test_smallest_root_by_scan(self):
+    def test_square_root_by_scan(self):
         for n in list(range(1, 200, 2)) + [3**7, 5**5, 3**4 * 7**3, 3 * 5 * 7 * 11 * 13]:
             factors = factorize(n)
             for a in range(0, n, max(1, n // 100)):
-                expected = next((x for x in range(n) if (x * x - a) % n == 0), None)
-                assert smallest_square_root(a, n, factors) == expected, (a, n)
+                x = square_root(a, n, factors)
+                if x is None:
+                    assert all((y * y - a) % n for y in range(n)), (a, n)
+                else:
+                    assert 0 <= x < n and (x * x - a) % n == 0, (a, n)
 
-    def test_root_budget(self, monkeypatch):
-        n = 3 * 5 * 7 * 11 * 13
-        monkeypatch.setattr(numtheory, "ROOT_BUDGET", 8)
-        with pytest.raises(Undecided, match="root enumeration budget of 8"):
-            smallest_square_root(1, n, factorize(n))
-        # a prime without a root refutes before any combination
-        assert smallest_square_root(2, n, factorize(n)) is None
+    def test_eighteen_primes(self):
+        # 2^18 roots modulo n, of which one is built
+        n = _product({p: 1 for p in range(3, 68) if _prime_by_trial(p)})
+        factors = factorize(n)
+        assert len(factors) == 18
+        a = (2**61 - 1) ** 2 % n
+        x = square_root(a, n, factors)
+        assert 0 <= x < n and (x * x - a) % n == 0
 
 
 class TestPell:

@@ -311,6 +311,12 @@ class TestMurakami:
             murakami_obstruction(-3, 3)
 
 
+def _murakami_witness(d, det1, det2) -> bool:
+    """d lies in [0, D) and satisfies 4d^2 = +-(D - D') mod 2D, D = det1."""
+    diff, mod = det1 - det2, 2 * det1
+    return 0 <= d < det1 and ((4 * d * d - diff) % mod == 0 or (4 * d * d + diff) % mod == 0)
+
+
 class TestExactDecisions:
     """The number-theoretic decisions against the linear scans they replace,
     and the inputs on which those scans ran for minutes or hours."""
@@ -324,7 +330,19 @@ class TestExactDecisions:
         for det1 in range(1, 200, 2):
             for det2 in range(1, 200, 2):
                 mur = murakami_obstruction(det1, det2)
-                assert (mur.obstructs, mur.witness) == murakami_by_scan(det1, det2), (det1, det2)
+                assert mur.obstructs == murakami_by_scan(det1, det2)[0], (det1, det2)
+                assert mur.obstructs or _murakami_witness(mur.witness, det1, det2), (det1, det2)
+
+    def test_murakami_eighteen_primes(self):
+        # 18 primes: 2^18 roots modulo det1, of which one is built
+        det1 = 1
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67):
+            det1 *= p
+        # 4d^2 = D - D' mod 2D with d = 2^61 - 1
+        det2 = (det1 - 4 * (2**61 - 1) ** 2) % (2 * det1)
+        mur = murakami_obstruction(det1, det2)
+        assert (mur.obstructs, mur.undecided) == (False, None)
+        assert _murakami_witness(mur.witness, det1, det2)
 
     def test_indefinite_matches_scan(self):
         # h = -2, -6 and -12 make 1 - 4h a square
@@ -400,12 +418,6 @@ class TestExactDecisions:
         assert "factoring budget" in murakami.certificate
         assert murakami.dg_lower == 0
         assert report.dg_lower == 1
-
-    def test_root_budget_gives_inconclusive(self, monkeypatch):
-        monkeypatch.setattr(numtheory, "ROOT_BUDGET", 2)
-        mur = murakami_obstruction(3 * 5 * 7, 3 * 5 * 7 - 4)  # d^2 = 1 mod 105
-        assert (mur.obstructs, mur.witness) == (False, None)
-        assert "root enumeration budget of 2" in mur.undecided
 
     def test_jacobi_refutes_without_factoring(self, monkeypatch):
         def no_factoring(n):
