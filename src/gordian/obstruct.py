@@ -455,21 +455,29 @@ class _Side(
     __slots__ = ()
 
 
-def _ua_one_certificate(h: int | None, matrix: SeifertMatrix | None, ua: int | None):
-    """The reason this side has u_a = 1, or None when none is known.
+def _ua_one_certificate(
+    name: str, delta: LaurentPoly, h: int | None, matrix: SeifertMatrix | None, ua: int | None
+):
+    """The reason this side has u_a = 1, or None when none is known.  The
+    only reader of a side's u_a value: it refuses a negative value, and a 1
+    on a matrix whose double cover has non-cyclic H1, since that forces
+    u_a >= 2 (Nakanishi, "A note on unknotting number", 1981).
 
-    A user value of 1 is taken on trust (``_make_side`` has rejected it
-    for a matrix whose double cover has non-cyclic H1).  Every class whose
+    A user value of 1 is otherwise taken on trust.  Every class whose
     Alexander polynomial is h_form(h) with h in SMALL_H has u_a = 1; a
     matrix side words this as its polynomial's h.  A 2x2 Seifert matrix
     V = [[a, b], [c, d]] has Delta = h_form(det V), since
     (b - c)^2 = det(V - V^T) = 1, so its rule |det V| in SMALL_H reads
     h = det V off the same polynomial.  It certifies only when H1 of the
-    double branched cover is cyclic, tested last: a non-cyclic H1 forces
-    u_a >= 2 (Nakanishi, "A note on unknotting number", 1981), as for
+    double branched cover is cyclic, tested last, as it fails for
     det V = -2 with V + V^T = 0 mod 3.
     """
+    if ua is not None and ua < 0:
+        raise ValueError("u_a values must be nonnegative")
     if ua == 1:
+        if matrix is not None and not double_cover_cyclic(matrix):
+            cover = "H1 of its double branched cover is not cyclic"
+            raise ValueError(f"u_a = 1 is impossible for {name}: {cover}")
         return "user supplied u_a = 1"
     if h in SMALL_H:
         if matrix is None:
@@ -496,16 +504,11 @@ def _make_side(value, ua, label) -> _Side:
         det = abs(value.evaluate(-1))
     else:
         raise TypeError("input must be a SeifertMatrix or a LaurentPoly")
-    if ua == 1 and matrix is not None and not double_cover_cyclic(matrix):
-        raise ValueError(
-            f"u_a = 1 is impossible for {label or delta}: "
-            "H1 of its double branched cover is not cyclic"
-        )
     h = delta.coeff(1)
     if not h or delta != h_form(h):
         h = None
-    certificate = _ua_one_certificate(h, matrix, ua)
-    return _Side(label or str(delta), delta, matrix, sigma, det, h, certificate)
+    name = label or str(delta)
+    return _Side(name, delta, matrix, sigma, det, h, _ua_one_certificate(name, delta, h, matrix, ua))
 
 
 def _moduli(s1: _Side, s2: _Side) -> list:
@@ -514,21 +517,17 @@ def _moduli(s1: _Side, s2: _Side) -> list:
     A modulus is a side with a certified u_a = 1, taken in argument order;
     there is none when the polynomials are equal.  The residue is the
     integer that the other side's polynomial is congruent to modulo the
-    side's: None unless the side is h_form(h) with |h| prime or 1, and None
-    when there is no such integer.  This is the only place that pairs a
-    modulus with the other side.
+    side's: None unless the side is h_form(h), and None when there is no
+    such integer.  Each criterion checks its own hypotheses on h.  This is
+    the only place that pairs a modulus with the other side.
     """
     if s1.delta == s2.delta:
         return []
-    moduli = []
-    for mod, other in ((s1, s2), (s2, s1)):
-        if mod.ua_one_certificate is None:
-            continue
-        residue = None
-        if mod.h is not None and _is_prime_or_one(abs(mod.h)):
-            residue = constant_residue(other.delta, mod.h)
-        moduli.append((mod, other, residue))
-    return moduli
+    return [
+        (mod, other, None if mod.h is None else constant_residue(other.delta, mod.h))
+        for mod, other in ((s1, s2), (s2, s1))
+        if mod.ua_one_certificate is not None
+    ]
 
 
 _NEEDS_MODULUS = "requires distinct polynomials and a certified u_a = 1 side"
@@ -592,9 +591,9 @@ def _quadratic_form(moduli: list, bounds: SearchBounds) -> tuple[CriterionResult
     """
     results, rho, witnesses = [], 0, []
     for mod, other, d in moduli:
-        if not d:
-            continue
         h = mod.h
+        if not d or not _is_prime_or_one(abs(h)):
+            continue
         v = quadform_represents(h, d, bounds.quadform_bound)
         if v.outcome == "refuted":
             verdict, detail = "Obstructs", "no integer solution (exhaustive box)"
@@ -657,7 +656,7 @@ def _murakami(moduli: list) -> CriterionResult:
     determinant (Lickorish, "The unknotting number of a classical knot",
     1985; H. Murakami, "Some metrics on classical knots", 1985).  With D'
     the other side's determinant, no d with 4d^2 = +-(D - D') mod 2D gives
-    dg >= 2; a factoring or root budget that runs out gives Inconclusive.
+    dg >= 2; a factoring budget that runs out gives Inconclusive.
     """
     results = []
     for mod, other, _ in moduli:
@@ -701,9 +700,6 @@ def build_report(
 ) -> ObstructionReport:
     """Run every criterion on the pair and aggregate the bounds they certify."""
     bounds = bounds or _DEFAULT_BOUNDS
-    for ua in (ua1, ua2):
-        if ua is not None and ua < 0:
-            raise ValueError("u_a values must be nonnegative")
     s1, s2 = _make_side(input1, ua1, label1), _make_side(input2, ua2, label2)
     moduli = _moduli(s1, s2)
     alex, parity = _alexander_distance(s1, s2), _parity(moduli)

@@ -811,9 +811,9 @@ class TestHFormResidue:
 class TestOneResiduePerModulus:
     """Parity and quadratic-form read one residue per modulus: a report
     evaluates the other side's polynomial once for each side with a
-    certified u_a = 1 whose |h| is prime or 1, only when the two
-    polynomials differ, and divides by no polynomial unless the cc-bar
-    criterion applies."""
+    certified u_a = 1 whose polynomial is an h-form, whatever |h| is, only
+    when the two polynomials differ, and divides by no polynomial unless
+    the cc-bar criterion applies."""
 
     @staticmethod
     def certified(value, h, ua):
@@ -831,7 +831,7 @@ class TestOneResiduePerModulus:
         out = []
         for (mod, other), value, ua in zip((deltas, deltas[::-1]), (x, y), (u1, u2)):
             h = mod.coeff(1)
-            if h and mod == h_form(h) and (abs(h) == 1 or numtheory.is_prime(abs(h))) and cls.certified(value, h, ua):
+            if h and mod == h_form(h) and cls.certified(value, h, ua):
                 out.append((other, mod))
         return out
 
@@ -871,3 +871,14 @@ class TestOneResiduePerModulus:
                 without_division += 1
         assert by_trefoil > 20
         assert without_division > 100
+
+    def test_composite_h_has_a_residue_the_quadratic_form_does_not_read(self):
+        # h = 4 is neither prime nor 1: the residue is read, but the paper's
+        # criterion states |h| prime or 1 and does not apply
+        mod, other = h_form(4), P("-4t^2+11t-13+11t^-1-4t^-2")
+        assert other == h_form(4) * P("-t+1-t^-1") + LaurentPoly.const(2)
+        sides = obstruct._make_side(mod, 1, None), obstruct._make_side(other, None, None)
+        assert [residue for _, _, residue in obstruct._moduli(*sides)] == [2]
+        for x, y, u1, u2 in ((mod, other, 1, None), (other, mod, None, 1)):
+            quad = _criterion(build_report(x, y, ua1=u1, ua2=u2, bounds=SMALL), "quadratic-form")
+            assert (quad.applicable, quad.certificate) == (False, "hypotheses not met")

@@ -531,7 +531,7 @@ class TestUaIsOne:
         assert self.certificate(alexander(TREFOIL)) == (
             "every class with this Alexander polynomial has u_a = 1 (h = 1)"
         )
-        assert _ua_one_certificate(1, TREFOIL, 1) == "user supplied u_a = 1"
+        assert _ua_one_certificate("trefoil", alexander(TREFOIL), 1, TREFOIL, 1) == "user supplied u_a = 1"
 
     def test_h_is_read_once_per_side(self):
         assert _make_side(TREFOIL, None, None).h == 1
