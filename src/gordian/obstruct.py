@@ -459,9 +459,11 @@ def _ua_one_certificate(
     name: str, delta: LaurentPoly, h: int | None, matrix: SeifertMatrix | None, ua: int | None
 ):
     """The reason this side has u_a = 1, or None when none is known.  The
-    only reader of a side's u_a value: it refuses a negative value, and a 1
-    on a matrix whose double cover has non-cyclic H1, since that forces
-    u_a >= 2 (Nakanishi, "A note on unknotting number", 1981).
+    only reader of a side's u_a value: it refuses a negative value; a 0
+    unless Delta = 1, since u_a = 0 means S-equivalent to the 0x0 matrix
+    and Delta is an S-equivalence invariant; and a 1 on a matrix whose
+    double cover has non-cyclic H1, since that forces u_a >= 2 (Nakanishi,
+    "A note on unknotting number", 1981).
 
     A user value of 1 is otherwise taken on trust.  Every class whose
     Alexander polynomial is h_form(h) with h in SMALL_H has u_a = 1; a
@@ -474,6 +476,8 @@ def _ua_one_certificate(
     """
     if ua is not None and ua < 0:
         raise ValueError("u_a values must be nonnegative")
+    if ua == 0 and delta != 1:
+        raise ValueError(f"u_a = 0 is impossible for {name}: its Alexander polynomial is not 1")
     if ua == 1:
         if matrix is not None and not double_cover_cyclic(matrix):
             cover = "H1 of its double branched cover is not cyclic"

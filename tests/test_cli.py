@@ -125,6 +125,16 @@ class TestObstruct:
         assert (code, out) == (2, "")
         assert "not cyclic" in err
 
+    def test_ua_zero_with_a_polynomial_other_than_one_exit_2(self, capsys):
+        # u_a = 0 once gave dga_upper: 1 here
+        argv = ["obstruct", "--delta1", "t-1+t^-1", "--ua1", "0", "--delta2", "-2t+5-2t^-1", "--ua2", "1"]
+        code, out, err = run(capsys, argv + ["--bound", "1"])
+        assert (code, out) == (2, "")
+        assert "u_a = 0 is impossible for t-1+t^-1: its Alexander polynomial is not 1" in err
+        code, out, _ = run(capsys, ["obstruct", "--delta1", "1", "--ua1", "0", "--delta2", "t-1+t^-1", "--ua2", "1"])
+        assert code == 0
+        assert "dga_upper: 1\n" in out
+
     @pytest.mark.parametrize("bound", ["-1", "0"])
     def test_bound_below_one_is_a_usage_error(self, bound):
         argv = ["obstruct", "--delta1", "4t-7+4t^-1", "--delta2", "-4t+9-4t^-1", "--ua1", "1"]

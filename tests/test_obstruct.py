@@ -523,8 +523,37 @@ class TestBuildReport:
             assert 0 <= report.rho_lower <= report.rho_upper <= 2
 
     def test_contradictory_ua_rejected(self):
-        with pytest.raises(ValueError, match="contradict"):
+        # u_a = 0 on 9_25 contradicts its polynomial before any bound is read
+        with pytest.raises(ValueError, match="u_a = 0 is impossible for -3t\\^2"):
             build_report(TREFOIL_DELTA, DELTA_9_25, ua1=1, ua2=0)
+
+    def test_ua_zero_rejected_unless_the_polynomial_is_one(self):
+        # u_a = 0 means S-equivalent to the 0x0 matrix, and Delta is an
+        # S-equivalence invariant
+        trefoil = SeifertMatrix([[-1, 1], [0, -1]])
+        for side, label in ((TREFOIL_DELTA, None), (trefoil, None), (trefoil, "V")):
+            name = re.escape(label or "t-1+t^-1")
+            orders = (
+                dict(input1=side, input2=DELTA_9_25, ua1=0, label1=label),
+                dict(input1=DELTA_9_25, input2=side, ua2=0, label2=label),
+            )
+            for kwargs in orders:
+                with pytest.raises(ValueError, match=f"u_a = 0 is impossible for {name}: .* not 1"):
+                    build_report(**kwargs)
+        # Delta = 1, as a polynomial, as the 0x0 matrix and as a 2x2 matrix
+        for unknot in (LaurentPoly.const(1), SeifertMatrix([]), SeifertMatrix([[1, 1], [0, 0]])):
+            for x, y, u1, u2 in ((unknot, TREFOIL_DELTA, 0, 1), (TREFOIL_DELTA, unknot, 1, 0)):
+                assert build_report(x, y, ua1=u1, ua2=u2, bounds=SMALL).dga_upper == 1
+
+    def test_ua_sum_below_a_certified_bound_contradicts(self, monkeypatch):
+        # no criterion certifies dga >= 2 against the unknot yet, so one is
+        # stood in for the signature
+        def certifies_two(s1, s2):
+            return obstruct.CriterionResult("signature", True, "Obstructs", "stand-in", dga_lower=2, dg_lower=2)
+
+        monkeypatch.setattr(obstruct, "_signature", certifies_two)
+        with pytest.raises(ValueError, match="upper bound 1, contradicting the certified lower bound 2"):
+            build_report(LaurentPoly.const(1), TREFOIL_DELTA, ua1=0, ua2=1, bounds=SMALL)
 
     def test_ua_one_rejected_when_the_double_cover_is_not_cyclic(self):
         # V + V^T = 0 mod 3: H1 of the double cover is Z/3 + Z/3, so u_a >= 2
@@ -589,7 +618,7 @@ class TestBuildReport:
 
 def _corpus_reports():
     """Every report of the pinned-text corpus, both argument orders, less
-    the pairs whose supplied u_a values contradict the certified bounds."""
+    the pairs refused for an impossible supplied u_a value."""
     reports = []
     for _, _, (x, y, u1, u2, _, _) in both_orders(corpus()):
         try:
@@ -650,7 +679,7 @@ GENERATOR_SEEDS = (1, 2, 3, 4, 5)
 def swapped_reports():
     """(report, report of the swapped pair) for the report generator's pairs
     at seeds 1-5, 120 pairs each, less the pairs that raise in either order
-    because a supplied u_a contradicts a certified bound."""
+    because a supplied u_a value is impossible."""
     out = []
     for seed in GENERATOR_SEEDS:
         for a, b, u1, u2, _, _ in corpus(seed, 120):
@@ -860,7 +889,7 @@ class TestOneResiduePerModulus:
             try:
                 report = build_report(x, y, ua1=u1, ua2=u2, bounds=SMALL)
             except ValueError as exc:
-                if "not cyclic" in str(exc):  # rejected before any criterion
+                if "impossible" in str(exc):  # rejected before any criterion
                     assert calls == [] and divisions == []
                     continue
                 report = None  # supplied u_a values contradict a certified bound

@@ -5,7 +5,7 @@ A seeded corpus of pairs is run in both argument orders and each report
 The corpus covers h-forms with |h| prime, composite and h <= -1, symmetric
 polynomials of breadth 2, 4 and 6, polynomials with a constant residue
 modulo an h-form, 2x2 and 4x4 Seifert matrices, equal pairs, u_a values
-0, 1, 2 and None, and a small search window.
+1, 2 and None (and 0 where the polynomial is 1), and a small search window.
 
 After a change that is meant to alter the output, rewrite the file with
 
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from gordian.laurent import LaurentPoly
 from gordian.obstruct import SearchBounds, build_report
-from gordian.seifert import SeifertMatrix, h_form
+from gordian.seifert import SeifertMatrix, alexander, h_form
 
 EXPECTED = Path(__file__).with_name("report_text_expected.txt")
 SMALL = SearchBounds(cc_max_breadth=2, cc_max_coeff=2, quadform_bound=60)
@@ -94,8 +94,16 @@ def corpus(seed: int = 2019, count: int = 60):
         else:
             a, b = _side(rng, rng.choice(kinds)), _side(rng, rng.choice(kinds))
         labels = ("first", "second") if k % 11 == 5 else (None, None)
-        pairs.append((a, b, rng.choice(UA_VALUES), rng.choice(UA_VALUES), *labels))
+        ua1, ua2 = rng.choice(UA_VALUES), rng.choice(UA_VALUES)
+        pairs.append((a, b, _possible(a, ua1), _possible(b, ua2), *labels))
     return pairs
+
+
+def _possible(side, ua):
+    """ua, or None in place of a 0 that build_report refuses: u_a = 0 needs
+    Alexander polynomial 1."""
+    delta = alexander(side) if isinstance(side, SeifertMatrix) else side
+    return None if ua == 0 and delta != 1 else ua
 
 
 def both_orders(pairs):
