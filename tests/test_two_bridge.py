@@ -31,8 +31,8 @@ from gordian.seifert import SeifertMatrix, alexander
 
 # at the default window the cc-bar search runs for minutes on some pairs
 BOUNDS = SearchBounds(cc_max_breadth=2, cc_max_coeff=2, quadform_bound=60)
-ENTRIES = range(-3, 4)
-SIZES = (2, 4)
+# entry ranges by size: size 6 keeps to [-2, 2], 5^6 vectors
+ENTRIES = {2: range(-3, 4), 4: range(-3, 4), 6: range(-2, 3)}
 UNKNOT = (SeifertMatrix([]), LaurentPoly.const(1))
 
 
@@ -74,8 +74,8 @@ def classes():
     """{(p, q): a} with q the least of +-q^(+-1) mod p, and a the first entry
     vector met; the unknot (p = 1) is left out."""
     out = {}
-    for size in SIZES:
-        for a in itertools.product(ENTRIES, repeat=size):
+    for size, entries in ENTRIES.items():
+        for a in itertools.product(entries, repeat=size):
             p = abs(_continuant(a))
             if p == 1:
                 continue
@@ -113,7 +113,10 @@ def _kinds_and_orders(one, two):
 
 
 def test_corpus_and_known_answers_agree(classes, u_one, lickorish_failures):
-    assert (len(classes), len(u_one), len(lickorish_failures)) == (372, 71, 103)
+    assert (len(classes), len(u_one), len(lickorish_failures)) == (1558, 178, 567)
+    # the classes first met at sizes 2 and 4
+    small = [[a for a in found if len(a) <= 4] for found in (classes.values(), u_one, lickorish_failures)]
+    assert tuple(map(len, small)) == (372, 71, 103)
     # a knot with u = 1 passes Lickorish's test: the two formulas agree
     assert not set(u_one) & set(lickorish_failures)
     assert plumbing_matrix((-1, -1)).rows == ((-1, 1), (0, -1))  # the trefoil
@@ -123,7 +126,7 @@ def test_corpus_and_known_answers_agree(classes, u_one, lickorish_failures):
 
 def test_unknotting_number_one_against_the_unknot(u_one):
     reports = [build_report(x, y, bounds=BOUNDS) for a in u_one for x, y in _kinds_and_orders(sides(a), UNKNOT)]
-    assert len(reports) == 284
+    assert len(reports) == 712
     assert all(_max_bound(r) <= 1 for r in reports)
 
 
@@ -132,21 +135,26 @@ def test_lickorish_failures_against_the_unknot(lickorish_failures):
     for a in lickorish_failures:
         V = plumbing_matrix(a)
         reports += [build_report(V, UNKNOT[0], bounds=BOUNDS), build_report(UNKNOT[0], V, bounds=BOUNDS)]
-    assert len(reports) == 206
+    assert len(reports) == 1134
     # Lickorish's test refutes u_a = 1, so no criterion may take one of these
     # sides as a modulus with a certified u_a = 1
     assert not any("u_a certificate" in c.certificate for r in reports for c in r.criteria)
-    # a floor measured on this corpus, all of it from the signature.  Every
+    # floors measured on this corpus, all of it from the signature.  Every
     # one of these classes has dga >= 2 against the unknot, but no criterion
     # reads the linking form that shows it, so none certifies it yet
-    assert sum(r.dg_lower >= 2 for r in reports) >= 90
+    small = reports[: 2 * sum(len(a) <= 4 for a in lickorish_failures)]  # met first
+    assert len(small) == 206
+    assert sum(r.dg_lower >= 2 for r in small) >= 90
+    assert sum(r.dg_lower >= 2 for r in reports) >= 520
 
 
 def test_pairs_of_unknotting_number_one(u_one):
+    # drawn from the size 2 and 4 classes, as the floor below was measured
+    small = [a for a in u_one if len(a) <= 4]
     rng = random.Random(12)
     reports = []
     for _ in range(300):
-        a, b = rng.sample(u_one, 2)
+        a, b = rng.sample(small, 2)
         reports += [build_report(x, y, bounds=BOUNDS) for x, y in _kinds_and_orders(sides(a), sides(b))]
     assert len(reports) == 1200
     # both are one crossing change from the unknot
