@@ -455,9 +455,7 @@ class _Side(
     __slots__ = ()
 
 
-def _ua_one_certificate(
-    name: str, delta: LaurentPoly, h: int | None, matrix: SeifertMatrix | None, ua: int | None
-):
+def _ua_one_certificate(name, delta, h: int | None, matrix: SeifertMatrix | None, ua: int | None):
     """The reason this side has u_a = 1, or None when none is known.  The
     only reader of a side's u_a value: it refuses a negative value; a 0
     unless Delta = 1, since u_a = 0 means S-equivalent to the 0x0 matrix
