@@ -3,9 +3,11 @@
 Pairing values live in Q(L)/L where L is the integer Laurent ring.  They
 are kept as unreduced fractions (num, den) with den = det(V - tV^T); no
 canonical residue exists when the leading coefficient of the Alexander
-polynomial is not a unit, so equality is decided by cross-multiplied
-divisibility instead.  The denominator is t^(n/2) Delta for the size n,
-from the Alexander polynomial the matrix kept when it was validated.  The
+polynomial is not a unit, so fractions_equal decides equality by
+cross-multiplied divisibility instead.  The denominator is t^(n/2) Delta
+for the size n, from the Alexander polynomial the matrix kept when it was
+validated.  The main-theorem check needs only that one denominator: it
+writes eps Delta(inner) / Delta(outer) over t^(n/2) Delta(outer).  The
 numerator of a pairing is (t - 1) v^T adj(V - tV^T) bar(w), and by the
 Cauchy expansion v^T adj(M) u = -det [[M, u], [v^T, 0]], so it is one
 bordered determinant of the pencil, det_bordered(V.rows, v, bar(w)) from
@@ -19,12 +21,12 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .laurent import LaurentPoly, is_multiple
-from .seifert import SeifertMatrix, _unbordered, adjugate_laurent, alexander, det_bordered, det_laurent
+from .seifert import SeifertMatrix, _Checked, _unbordered, adjugate_laurent, alexander, det_bordered, det_laurent
 
 T_MINUS_1 = LaurentPoly({1: 1, 0: -1})
 
 
-class TorsionFraction(namedtuple("TorsionFraction", ("num", "den"))):
+class TorsionFraction(_Checked, namedtuple("TorsionFraction", ("num", "den"))):
     """A value num/den taken modulo the ring of Laurent polynomials."""
 
     __slots__ = ()
@@ -33,11 +35,6 @@ class TorsionFraction(namedtuple("TorsionFraction", ("num", "den"))):
         if den.is_zero:
             raise ZeroDivisionError("torsion fraction with zero denominator")
         return super().__new__(cls, num, den)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: run the checks of __new__ there too
-        return cls(*iterable)
 
     def scale(self, factor: LaurentPoly) -> "TorsionFraction":
         return TorsionFraction(self.num * factor, self.den)
@@ -102,6 +99,6 @@ def border_self_pairing_check(outer: SeifertMatrix, inner: SeifertMatrix) -> boo
         raise ValueError("outer matrix is not a literal border of the inner matrix")
     # the (0, 0) cofactor of V - tV^T is the pencil of V without row and column 0
     cof = det_laurent([row[1:] for row in outer.rows[1:]])
-    entry = TorsionFraction(T_MINUS_1 * cof, _denominator(outer))
-    target = TorsionFraction(LaurentPoly.const(eps) * alexander(inner), alexander(outer))
-    return fractions_equal(entry, target)
+    # the target over the entry's denominator t^(n/2) Delta(outer): t is a unit
+    target = alexander(inner).shift(outer.size // 2) * eps
+    return is_multiple(T_MINUS_1 * cof - target, _denominator(outer))

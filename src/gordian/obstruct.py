@@ -20,6 +20,7 @@ from .numtheory import Undecided, factorize, is_prime, jacobi, pell_unit, square
 from .seifert import (
     SMALL_H,
     SeifertMatrix,
+    _Checked,
     alexander,
     check_alexander,
     double_cover_cyclic,
@@ -30,6 +31,7 @@ from .seifert import (
 
 
 class SearchBounds(
+    _Checked,
     namedtuple(
         "SearchBounds",
         ("cc_max_breadth", "cc_max_coeff", "quadform_bound"),
@@ -50,11 +52,6 @@ class SearchBounds(
         _at_least(1, self.quadform_bound, "the quadratic-form bound")
         return self
 
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: run the checks of __new__ there too
-        return cls(*iterable)
-
 
 def _at_least(least: int, value: int, name: str) -> None:
     if value < least:
@@ -68,6 +65,7 @@ _DEFAULT_BOUNDS = SearchBounds()
 
 
 class QuadFormVerdict(
+    _Checked,
     namedtuple(
         "QuadFormVerdict",
         (
@@ -92,11 +90,6 @@ class QuadFormVerdict(
         self = super().__new__(cls, *args, **kwargs)
         assert self.outcome in ("witness", "refuted", "inconclusive")
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: run the checks of __new__ there too
-        return cls(*iterable)
 
 
 def _signed_range(bound):
@@ -388,6 +381,7 @@ class CriterionResult(
 
 
 class ObstructionReport(
+    _Checked,
     namedtuple(
         "ObstructionReport",
         (
@@ -414,11 +408,6 @@ class ObstructionReport(
         if self.dga_upper is not None:
             assert self.dga_upper >= self.dga_lower
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: run the checks of __new__ there too
-        return cls(*iterable)
 
     def format(self) -> str:
         lines = [f"input1: {self.label1}", f"input2: {self.label2}"]

@@ -415,7 +415,18 @@ def check_alexander(delta: LaurentPoly) -> LaurentPoly:
     return delta
 
 
-class KnotInvariants(namedtuple("KnotInvariants", ("alexander", "signature", "determinant"))):
+class _Checked:
+    """Base of a named tuple whose __new__ checks its fields, listed before the
+    namedtuple: _replace builds through _make, which here calls the constructor."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class KnotInvariants(_Checked, namedtuple("KnotInvariants", ("alexander", "signature", "determinant"))):
     """The classical triple used by every criterion in the battery."""
 
     __slots__ = ()
@@ -427,11 +438,6 @@ class KnotInvariants(namedtuple("KnotInvariants", ("alexander", "signature", "de
         if signature % 2:
             raise ValueError("signature must be even")
         return super().__new__(cls, alexander, signature, determinant)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: run the checks of __new__ there too
-        return cls(*iterable)
 
     @classmethod
     def from_matrix(cls, V: SeifertMatrix) -> "KnotInvariants":

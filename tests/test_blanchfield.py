@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gordian import seifert
+from gordian import blanchfield, seifert
 
 from gordian.laurent import LaurentPoly, is_multiple
 from gordian.seifert import SeifertMatrix, alexander, det_laurent, enlarge, unknotting_border
@@ -341,6 +341,32 @@ class TestBorderSelfPairing:
             else:
                 flips_rejected += 1
         assert flips_rejected > 0
+
+    def test_negated_cofactor_rejected(self, monkeypatch):
+        # the one-denominator check agrees with the cross-multiplied form, and
+        # fails once the cofactor it reads is negated
+        rng = random.Random(47)
+        borders = []
+        for i in range(40):
+            inner = random_seifert(rng, (0, 2, 4)[i % 3])
+            eps = rng.choice((1, -1))
+            outer = unknotting_border(
+                inner,
+                eps,
+                rng.randint(-3, 3),
+                random_vector(rng, inner.size),
+                random_vector(rng, inner.size),
+                "a+",
+            )
+            borders.append((outer, inner, eps))
+        for outer, inner, eps in borders:
+            cof = det_laurent([row[1:] for row in outer.rows[1:]])
+            entry = TorsionFraction(P("t-1") * cof, det_laurent(outer.rows))
+            target = TorsionFraction(LaurentPoly.const(eps) * alexander(inner), alexander(outer))
+            assert fractions_equal(entry, target)
+            assert border_self_pairing_check(outer, inner)
+        monkeypatch.setattr(blanchfield, "det_laurent", lambda rows: -det_laurent(rows))
+        assert not any(border_self_pairing_check(outer, inner) for outer, inner, _ in borders)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="two rows larger"):
