@@ -103,23 +103,19 @@ def form_value(h: int, x: int, y: int) -> int:
     return h * h * x * x + (2 * h - 1) * x * y + y * y
 
 
-def _y_solutions(h: int, d: int, x: int):
-    """The (y, s) with h^2 x^2 + (2h-1) xy + y^2 = s d for s = +-1, solved
-    exactly from the discriminant (1-4h) x^2 + 4sd of the quadratic in y:
-    s = 1 before s = -1, and the root with +sqrt first."""
-    out = []
+def _y_solution(h: int, d: int, x: int):
+    """The first (y, s) with h^2 x^2 + (2h-1) xy + y^2 = s d, s = 1 before
+    s = -1, or None.  y is the root (-(2h-1) x + sqrt(disc)) / 2 of the
+    quadratic in y, disc = (1-4h) x^2 + 4sd; disc = x^2 mod 4, so
+    sqrt(disc) = x = (2h-1) x mod 2 and the root is an integer whenever
+    disc is a square."""
     for s in (1, -1):
         disc = (1 - 4 * h) * x * x + 4 * s * d
-        if disc < 0:
-            continue
-        root = isqrt(disc)
-        if root * root != disc:
-            continue
-        for pm in (root, -root) if root else (0,):
-            num = -(2 * h - 1) * x + pm
-            if num % 2 == 0:
-                out.append((num // 2, s))
-    return out
+        if disc >= 0:
+            root = isqrt(disc)
+            if root * root == disc:
+                return (root - (2 * h - 1) * x) // 2, s
+    return None
 
 
 def _signed_rank(y: int) -> int:
@@ -158,38 +154,35 @@ def quadform_represents(
 ) -> QuadFormVerdict:
     """Decide whether h^2 x^2 + (2h-1) xy + y^2 takes the value d or -d.
 
-    Both branches solve for y exactly per x (``_y_solutions``).  For h >= 1
-    the form is positive definite (discriminant 1 - 4h < 0) and completing
-    the square gives
+    The form is even, q(-x, -y) = q(x, y), so x runs from 0 up and y is
+    solved exactly per x (``_y_solution``).  For h >= 1 the form is positive
+    definite (discriminant 1 - 4h < 0) and completing the square gives
 
         4 q = (2y + (2h-1)x)^2 + (4h-1) x^2
         4 h^2 q = (2 h^2 x + (2h-1)y)^2 + (4h-1) y^2
 
     so every solution of |q| = |d| has (4h-1) x^2 <= 4|d| and
-    (4h-1) y^2 <= 4 h^2 |d|: the search over x is exhaustive, and the
-    witness is the one a scan of that box in ``_signed_range`` order reaches
-    first.  For h <= -1 the form is indefinite; x runs up to the smaller of
-    ``bound`` and Nagell's bound (``_nagell_bound``), and the outcome is
-    inconclusive up to ``bound`` when no solution is found, although below
-    Nagell's bound that also rules out every solution.
+    (4h-1) y^2 <= 4 h^2 |d|: the search over x is exhaustive.  Its witness
+    is the one a scan of that box in ``_signed_range`` order reaches first:
+    a solution at -x is one at x, and at each x the +sqrt root is the y
+    that order meets first.  For h <= -1
+    the form is indefinite; x runs up to the smaller of ``bound`` and
+    Nagell's bound (``_nagell_bound``), and the outcome is inconclusive up
+    to ``bound`` when no solution is found, although below Nagell's bound
+    that also rules out every solution.
     """
     if h == 0:
         raise ValueError("h must be nonzero")
     if d == 0:
         raise ValueError("d must be nonzero")
     _at_least(1, bound, "the quadratic-form bound")
-    if h >= 1:
-        for x in _signed_range(isqrt(4 * abs(d) // (4 * h - 1))):
-            found = _y_solutions(h, d, x)
-            if found:
-                y, s = min(found, key=lambda ys: _signed_rank(ys[0]))
-                return QuadFormVerdict("witness", x, y, s)
-        return QuadFormVerdict("refuted")
-    for x in _signed_range(_nagell_bound(h, d, bound)):
-        found = _y_solutions(h, d, x)
+    top = isqrt(4 * abs(d) // (4 * h - 1)) if h >= 1 else _nagell_bound(h, d, bound)
+    for x in range(top + 1):
+        found = _y_solution(h, d, x)
         if found:
-            y, s = found[0]
-            return QuadFormVerdict("witness", x, y, s)
+            return QuadFormVerdict("witness", x, *found)
+    if h >= 1:
+        return QuadFormVerdict("refuted")
     return QuadFormVerdict("inconclusive", searched_bound=bound)
 
 
