@@ -92,13 +92,6 @@ class QuadFormVerdict(
         return self
 
 
-def _signed_range(bound):
-    yield 0
-    for k in range(1, bound + 1):
-        yield k
-        yield -k
-
-
 def form_value(h: int, x: int, y: int) -> int:
     return h * h * x * x + (2 * h - 1) * x * y + y * y
 
@@ -116,11 +109,6 @@ def _y_solution(h: int, d: int, x: int):
             if root * root == disc:
                 return (root - (2 * h - 1) * x) // 2, s
     return None
-
-
-def _signed_rank(y: int) -> int:
-    """Position of y in the order 0, 1, -1, 2, -2, ... of ``_signed_range``."""
-    return 2 * abs(y) - (y > 0)
 
 
 def _nagell_bound(h: int, d: int, bound: int) -> int:
@@ -163,13 +151,13 @@ def quadform_represents(
 
     so every solution of |q| = |d| has (4h-1) x^2 <= 4|d| and
     (4h-1) y^2 <= 4 h^2 |d|: the search over x is exhaustive.  Its witness
-    is the one a scan of that box in ``_signed_range`` order reaches first:
-    a solution at -x is one at x, and at each x the +sqrt root is the y
-    that order meets first.  For h <= -1
-    the form is indefinite; x runs up to the smaller of ``bound`` and
-    Nagell's bound (``_nagell_bound``), and the outcome is inconclusive up
-    to ``bound`` when no solution is found, although below Nagell's bound
-    that also rules out every solution.
+    is the one a scan of the box in the order 0, 1, -1, 2, -2, ... of x and
+    then y reaches first: a solution at -x is one at x, and at x >= 0 the
+    +sqrt root is the y that order meets first.  For h <= -1 the form is
+    indefinite; x runs up to the smaller of ``bound`` and Nagell's bound
+    (``_nagell_bound``), and the outcome is inconclusive up to ``bound``
+    when no solution is found, although below Nagell's bound that also
+    rules out every solution.
     """
     if h == 0:
         raise ValueError("h must be nonzero")
@@ -235,6 +223,18 @@ def constant_residue(p: LaurentPoly, h: int) -> int | None:
 
 class CcBarWitness(namedtuple("CcBarWitness", ("c", "sign"))):
     __slots__ = ()
+
+
+def _signed_range(bound):
+    yield 0
+    for k in range(1, bound + 1):
+        yield k
+        yield -k
+
+
+def _signed_rank(y: int) -> int:
+    """Position of y in the order 0, 1, -1, 2, -2, ... of ``_signed_range``."""
+    return 2 * abs(y) - (y > 0)
 
 
 def _cc_candidates(max_breadth: int, max_coeff: int):
@@ -439,9 +439,13 @@ class _Side(
 
 def _ua_one_certificate(name, delta, h: int | None, matrix: SeifertMatrix | None, ua: int | None):
     """The reason this side has u_a = 1, or None when none is known.  The
-    only reader of a side's u_a value: it refuses a negative value; a 0
-    unless Delta = 1, since u_a = 0 means S-equivalent to the 0x0 matrix
-    and Delta is an S-equivalence invariant; and a 1 on a matrix whose
+    only judge of a side's u_a value; ``build_report`` just adds the two
+    into dga_upper.  It refuses a negative value; a 0 unless Delta = 1, as
+    u_a = 0 means S-equivalent to the 0x0 matrix and Delta is an
+    S-equivalence invariant; a nonzero value when Delta = 1, as then the
+    Alexander module, presented by tV - V^T, is zero, and the Blanchfield
+    pairing determines the S-equivalence class (H. F. Trotter, "On
+    S-equivalence of Seifert matrices", 1973); and a 1 on a matrix whose
     double cover has non-cyclic H1, since that forces u_a >= 2 (Nakanishi,
     "A note on unknotting number", 1981).
 
@@ -458,6 +462,8 @@ def _ua_one_certificate(name, delta, h: int | None, matrix: SeifertMatrix | None
         raise ValueError("u_a values must be nonnegative")
     if ua == 0 and delta != 1:
         raise ValueError(f"u_a = 0 is impossible for {name}: its Alexander polynomial is not 1")
+    if ua and delta == 1:
+        raise ValueError(f"u_a = {ua} is impossible for {name}: its Alexander polynomial is 1")
     if ua == 1:
         if matrix is not None and not double_cover_cyclic(matrix):
             cover = "H1 of its double branched cover is not cyclic"

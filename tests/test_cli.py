@@ -135,6 +135,12 @@ class TestObstruct:
         assert code == 0
         assert "dga_upper: 1\n" in out
 
+    def test_nonzero_ua_with_polynomial_one_exit_2(self, capsys):
+        # the unknot once became a u_a = 1 modulus here
+        code, out, err = run(capsys, ["obstruct", "--delta1", "1", "--ua1", "1", "--delta2", "t-1+t^-1"])
+        assert (code, out) == (2, "")
+        assert "u_a = 1 is impossible for 1: its Alexander polynomial is 1" in err
+
     @pytest.mark.parametrize("bound", ["-1", "0"])
     def test_bound_below_one_is_a_usage_error(self, bound):
         argv = ["obstruct", "--delta1", "4t-7+4t^-1", "--delta2", "-4t+9-4t^-1", "--ua1", "1"]

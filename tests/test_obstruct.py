@@ -3,6 +3,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -358,6 +359,15 @@ class TestExactDecisions:
                 if d:
                     assert tuple(quadform_represents(h, d)) == quadform_by_box(h, d), (h, d)
 
+    def test_matches_box_beyond_the_grids(self):
+        # a seeded sample past the h of the two tests above; the definite
+        # box does not read the bound
+        rng = random.Random(24)
+        for k in range(400):
+            h = rng.randint(13, 60) if k % 2 else rng.randint(-60, -21)
+            d = rng.choice((1, -1)) * rng.randint(1, 2000)
+            assert tuple(quadform_represents(h, d, 600)) == quadform_by_box(h, d, 600), (h, d)
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -401,6 +411,23 @@ class TestExactDecisions:
         assert obstruct._nagell_bound(-2, 5, 10_000) == 11  # 1 - 4h = 9
         v = quadform_represents(-1, 2)
         assert (v.outcome, v.searched_bound) == ("inconclusive", 10_000)
+
+    def test_each_abs_x_is_scanned_once(self, monkeypatch):
+        # q(-x, -y) = q(x, y), so x runs over 0, 1, ..., top and no further
+        calls = []
+
+        def counted(h, d, x, _original=obstruct._y_solution):
+            calls.append(x)
+            return _original(h, d, x)
+
+        monkeypatch.setattr(obstruct, "_y_solution", counted)
+        for h, d, top, outcome in (
+            (1, 2, isqrt(8 // 3), "refuted"),
+            (-1, 2, obstruct._nagell_bound(-1, 2, 10_000), "inconclusive"),
+        ):
+            calls.clear()
+            assert quadform_represents(h, d).outcome == outcome
+            assert calls == list(range(top + 1)), (h, d)
 
     def test_factoring_budget_gives_inconclusive(self, monkeypatch):
         monkeypatch.setattr(numtheory, "FACTOR_STEP_BUDGET", 10)
@@ -544,6 +571,19 @@ class TestBuildReport:
         for unknot in (LaurentPoly.const(1), SeifertMatrix([]), SeifertMatrix([[1, 1], [0, 0]])):
             for x, y, u1, u2 in ((unknot, TREFOIL_DELTA, 0, 1), (TREFOIL_DELTA, unknot, 1, 0)):
                 assert build_report(x, y, ua1=u1, ua2=u2, bounds=SMALL).dga_upper == 1
+
+    def test_nonzero_ua_rejected_when_the_polynomial_is_one(self):
+        # Delta = 1 makes the Alexander module zero, so the class is that of
+        # the 0x0 matrix and u_a = 0
+        for unknot in (LaurentPoly.const(1), SeifertMatrix([]), SeifertMatrix([[0, 1], [0, 0]])):
+            for ua in (1, 2):
+                orders = (
+                    dict(input1=unknot, input2=TREFOIL_DELTA, ua1=ua, ua2=1),
+                    dict(input1=TREFOIL_DELTA, input2=unknot, ua1=1, ua2=ua),
+                )
+                for kwargs in orders:
+                    with pytest.raises(ValueError, match=f"u_a = {ua} is impossible for 1: .* is 1$"):
+                        build_report(**kwargs, bounds=SMALL)
 
     def test_ua_sum_below_a_certified_bound_contradicts(self, monkeypatch):
         # no criterion certifies dga >= 2 against the unknot yet, so one is

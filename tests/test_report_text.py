@@ -100,10 +100,10 @@ def corpus(seed: int = 2019, count: int = 60):
 
 
 def _possible(side, ua):
-    """ua, or None in place of a 0 that build_report refuses: u_a = 0 needs
-    Alexander polynomial 1."""
+    """ua, or None in place of a value that build_report refuses: u_a = 0
+    needs Alexander polynomial 1, and Alexander polynomial 1 needs u_a = 0."""
     delta = alexander(side) if isinstance(side, SeifertMatrix) else side
-    return None if ua == 0 and delta != 1 else ua
+    return None if (ua == 0) != (delta == 1) else ua
 
 
 def both_orders(pairs):
