@@ -136,7 +136,7 @@ class TestObstruct:
         assert "dga_upper: 1\n" in out
 
     def test_nonzero_ua_with_polynomial_one_exit_2(self, capsys):
-        # the unknot once became a u_a = 1 modulus here
+        # Alexander polynomial 1 means u_a = 0, so the unknot is no modulus
         code, out, err = run(capsys, ["obstruct", "--delta1", "1", "--ua1", "1", "--delta2", "t-1+t^-1"])
         assert (code, out) == (2, "")
         assert "u_a = 1 is impossible for 1: its Alexander polynomial is 1" in err
