@@ -265,6 +265,14 @@ def divmod_rational(a: LaurentPoly, b: LaurentPoly):
     window representatives differ by a multiple of b, which has larger
     breadth.  In particular r = 0 exactly when b divides a over Q.
     Coefficients of q and r may be Fractions.
+
+    The remainder is one canonical term table, and each step builds one
+    table: a copy of it minus the shifted divisor times the factor, with
+    no polynomial in between.  The factor is normalised, so an integral
+    one stays an int: without that, every step multiplies an int by an
+    integral Fraction, and a first version of this loop made the report
+    on t-1+t^-1 and t^301-1+t^-301 23% to 30% slower than the old loop,
+    which built four polynomials per step.
     """
     if b.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
@@ -272,17 +280,26 @@ def divmod_rational(a: LaurentPoly, b: LaurentPoly):
     b_deg, b_val = b.degree, b.valuation
     b_lead, b_low = b.coeff(b_deg), b.coeff(b_val)
     q_terms: dict = {}
-    r = a
-    while not r.is_zero and (r.degree >= width or r.valuation < 0):
-        if r.degree >= width:
-            shift = r.degree - b_deg
-            factor = Fraction(r.coeff(r.degree)) / b_lead
+    r = a.terms
+    while r:
+        top = max(r)
+        if top >= width:
+            shift = top - b_deg
+            factor = _norm_coeff(Fraction(r[top]) / b_lead)
         else:
-            shift = r.valuation - b_val
-            factor = Fraction(r.coeff(r.valuation)) / b_low
+            low = min(r)
+            if low >= 0:
+                break
+            shift = low - b_val
+            factor = _norm_coeff(Fraction(r[low]) / b_low)
         q_terms[shift] = q_terms.get(shift, 0) + factor
-        r = r - b.shift(shift) * factor
-    return LaurentPoly(q_terms), r
+        r = dict(r)
+        get = r.get
+        for e, c in b.terms.items():
+            e += shift
+            r[e] = get(e, 0) - c * factor
+        r = _canonical(r)
+    return LaurentPoly(q_terms), _from_terms(r)
 
 
 def is_multiple(a: LaurentPoly, b: LaurentPoly) -> bool:

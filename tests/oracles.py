@@ -5,15 +5,17 @@ the number theory in ``gordian.numtheory``: determinants by cofactor
 expansion over the Laurent ring, the pairing numerator multiplied out entry
 by entry, the signature by congruence diagonalisation over the rationals,
 and the Murakami condition and the quadratic form by linear scans.  The
-cc-bar search runs the whole window, reversal pairs included, and the
-cyclicity of the double cover's H1 is read off ranks modulo primes.
+cc-bar search runs the whole window, reversal pairs included, and decides
+each candidate with ``divmod_by_long_division``, Fraction long division on
+plain dicts rather than ``gordian.laurent.divmod_rational``.  The cyclicity
+of the double cover's H1 is read off ranks modulo primes.
 """
 
 import itertools
 from fractions import Fraction
 from math import isqrt
 
-from gordian.laurent import LaurentPoly, is_multiple
+from gordian.laurent import LaurentPoly
 
 
 def pencil_entries(A):
@@ -205,6 +207,43 @@ def quadform_by_box(h, d, bound=10_000):
     return "inconclusive", None, None, None, bound
 
 
+def divmod_by_long_division(a, b):
+    """(q, r) as term dicts with a = q*b + r over the rationals.
+
+    a and b are term dicts {exponent: coefficient}, b nonzero.  The top term
+    of r is cleared while r reaches exponent breadth(b), then the bottom
+    term while r reaches below exponent 0, so r ends in the window
+    [0, breadth(b) - 1].  Coefficients of q and r are Fractions.
+    """
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    b_deg, b_val = max(b), min(b)
+    width = b_deg - b_val
+    q = {}
+    r = {e: Fraction(c) for e, c in a.items() if c}
+    while r and (max(r) >= width or min(r) < 0):
+        if max(r) >= width:
+            shift = max(r) - b_deg
+            factor = r[max(r)] / b[b_deg]
+        else:
+            shift = min(r) - b_val
+            factor = r[min(r)] / b[b_val]
+        q[shift] = q.get(shift, 0) + factor
+        for e, c in b.items():
+            value = r.get(e + shift, 0) - factor * c
+            if value:
+                r[e + shift] = value
+            else:
+                r.pop(e + shift, None)
+    return q, r
+
+
+def is_multiple_by_long_division(a, b) -> bool:
+    """True when the polynomial a is b times an integer polynomial."""
+    q, r = divmod_by_long_division(a.terms, b.terms)
+    return not r and all(c.denominator == 1 for c in q.values())
+
+
 def cc_bar_by_full_window(delta, delta_prime, max_breadth, max_coeff):
     """(c, sign) of the first c bar(c) = sign * delta_prime mod delta, or None.
 
@@ -221,6 +260,6 @@ def cc_bar_by_full_window(delta, delta_prime, max_breadth, max_coeff):
             c = LaurentPoly(dict(enumerate(coeffs)))
             cc = c * c.bar()
             for sign in (1, -1):
-                if is_multiple(sign * delta_prime - cc, delta):
+                if is_multiple_by_long_division(sign * delta_prime - cc, delta):
                     return c, sign
     return None

@@ -5,6 +5,7 @@ import pytest
 
 from gordian.laurent import LaurentPoly, PolyParseError, divmod_rational, is_multiple
 from gordian.seifert import h_form
+from oracles import divmod_by_long_division, is_multiple_by_long_division
 
 L = LaurentPoly
 
@@ -308,6 +309,53 @@ class TestOneRemainderDecidesBothSigns:
                         hits += hit
                         misses += not hit
         assert hits >= len(moduli) * 15 and misses > 0
+
+
+class TestAgainstLongDivision:
+    """divmod_rational against the Fraction long division of the oracles,
+    which works on plain dicts and shares no code with gordian.laurent."""
+
+    @staticmethod
+    def random_divisor(rng):
+        # |lead| and |low| up to 6, the valuation often negative
+        val = rng.randint(-4, 2)
+        deg = val + rng.randint(0, 5)
+        terms = {e: rng.randint(-6, 6) for e in range(val + 1, deg)}
+        terms[val] = rng.choice((-1, 1)) * rng.randint(1, 6)
+        terms[deg] = rng.choice((-1, 1)) * rng.randint(1, 6)
+        return L(terms)
+
+    @staticmethod
+    def fraction_poly(rng):
+        return L({e: Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for e in range(-3, 4) if rng.random() < 0.6})
+
+    def cases(self):
+        rng = random.Random(31)
+        divisors = [h_form(s * h) for h in (1, 2, 3, 4, 6, 8) for s in (1, -1)]
+        divisors += [self.random_divisor(rng) for _ in range(30)]
+        for b in divisors:
+            yield L.zero(), b
+            for _ in range(4):
+                yield random_poly(rng), b
+                yield self.fraction_poly(rng), b
+                # a multiple over the integers, and one over the rationals
+                yield b * random_poly(rng, max_exp=3, max_coeff=5), b
+                yield b * self.fraction_poly(rng), b
+        for n in (31, 101, 301):
+            for b in divisors[:12:3]:
+                yield L({n: 1, 0: -1, -n: 1}), b
+
+    def test_same_quotient_and_remainder(self):
+        verdicts = []
+        for a, b in self.cases():
+            q, r = divmod_rational(a, b)
+            q_ref, r_ref = divmod_by_long_division(a.terms, b.terms)
+            assert q.terms == q_ref and r.terms == r_ref, (a, b)
+            for c in [*q.terms.values(), *r.terms.values()]:
+                assert type(c) is int or c.denominator != 1, (a, b, c)
+            verdicts.append(is_multiple_by_long_division(a, b))
+            assert is_multiple(a, b) == verdicts[-1], (a, b)
+        assert len(verdicts) == 726 and set(verdicts) == {True, False}
 
 
 class TestRingAxioms:
