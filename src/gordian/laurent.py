@@ -266,39 +266,52 @@ def divmod_rational(a: LaurentPoly, b: LaurentPoly):
     breadth.  In particular r = 0 exactly when b divides a over Q.
     Coefficients of q and r may be Fractions.
 
-    The remainder is one canonical term table, and each step builds one
-    table: a copy of it minus the shifted divisor times the factor, with
-    no polynomial in between.  The factor is normalised, so an integral
-    one stays an int: without that, every step multiplies an int by an
-    integral Fraction, and a first version of this loop made the report
-    on t-1+t^-1 and t^301-1+t^-301 23% to 30% slower than the old loop,
-    which built four polynomials per step.
+    The division works in place on one copy of a's term table, in two
+    sweeps over exponents.  The first runs from the top exponent down to
+    breadth(b): each nonzero entry e is cleared by subtracting the divisor
+    shifted by e - degree(b), times a factor.  The second runs from a's
+    lowest exponent up to -1 and shifts by e - valuation(b).  A top step
+    touches exponents e - breadth(b) >= 0 to e, so it makes no new
+    negative exponent, and a bottom step touches none at breadth(b) or
+    above; every exponent is visited once, so every quotient term is set
+    once.  A step touches breadth(b) + 1 entries, deletes those that become
+    zero and normalises the changed ones, so a division takes
+    O(breadth(a) * breadth(b)) coefficient operations; a sparse a costs
+    its breadth, not its number of terms.  A non-monic divisor still grows
+    Fraction denominators as lead^k, so the bit cost stays superlinear.
+
+    Normalising keeps an integral value an int: without it, every step
+    multiplies an int by an integral Fraction, and a first version of the
+    one-table loop made the report on t-1+t^-1 and t^301-1+t^-301 23% to
+    30% slower than the older loop, which built four polynomials per step.
     """
     if b.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     width = b.breadth
     b_deg, b_val = b.degree, b.valuation
-    b_lead, b_low = b.coeff(b_deg), b.coeff(b_val)
     q_terms: dict = {}
-    r = a.terms
-    while r:
-        top = max(r)
-        if top >= width:
-            shift = top - b_deg
-            factor = _norm_coeff(Fraction(r[top]) / b_lead)
-        else:
-            low = min(r)
-            if low >= 0:
-                break
-            shift = low - b_val
-            factor = _norm_coeff(Fraction(r[low]) / b_low)
-        q_terms[shift] = q_terms.get(shift, 0) + factor
-        r = dict(r)
+    r = dict(a.terms)
+    if r:
         get = r.get
-        for e, c in b.terms.items():
-            e += shift
-            r[e] = get(e, 0) - c * factor
-        r = _canonical(r)
+        sweeps = (
+            (range(max(r), width - 1, -1), b_deg, b.coeff(b_deg)),
+            (range(min(r), 0), b_val, b.coeff(b_val)),
+        )
+        for exponents, anchor, divisor in sweeps:
+            for e in exponents:
+                c = get(e)
+                if c is None:
+                    continue
+                shift = e - anchor
+                factor = _norm_coeff(Fraction(c) / divisor)
+                q_terms[shift] = factor
+                for d, bc in b.terms.items():
+                    d += shift
+                    v = get(d, 0) - bc * factor
+                    if v:
+                        r[d] = v if type(v) is int else _norm_coeff(v)
+                    else:
+                        del r[d]
     return LaurentPoly(q_terms), _from_terms(r)
 
 

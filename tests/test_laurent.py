@@ -357,6 +357,48 @@ class TestAgainstLongDivision:
             assert is_multiple(a, b) == verdicts[-1], (a, b)
         assert len(verdicts) == 726 and set(verdicts) == {True, False}
 
+    @staticmethod
+    def dense(n):
+        """1 - 2n + sum of t^k + t^-k for k = 1..n: every exponent in [-n, n]."""
+        terms = {0: 1 - 2 * n}
+        for k in range(1, n + 1):
+            terms[k] = terms[-k] = 1
+        return L(terms)
+
+    def test_dense_and_two_phase_dividends(self):
+        rng = random.Random(37)
+        divisors = [h_form(s * h) for h in (1, 4, 8) for s in (1, -1)]
+        while len(divisors) < 9:
+            b = self.random_divisor(rng)
+            if abs(b.coeff(b.degree)) != abs(b.coeff(b.valuation)):
+                divisors.append(b)
+        for b in divisors:
+            spanning = []
+            for _ in range(3):
+                terms = {
+                    e: Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for e in range(-11, 12) if rng.random() < 0.5
+                }
+                # nonzero at -12 and at 12, so both sweeps take a step
+                terms.update({-12: Fraction(rng.randint(1, 9), 7), 12: Fraction(-5, rng.randint(1, 9))})
+                spanning.append(L(terms))
+            for a in [self.dense(n) for n in (31, 101, 301)] + spanning:
+                q, r = divmod_rational(a, b)
+                q_ref, r_ref = divmod_by_long_division(a.terms, b.terms)
+                assert q.terms == q_ref and r.terms == r_ref, (a, b)
+                # a top step's shift is at least -valuation(b), a bottom step's below it
+                assert min(q.terms) < -b.valuation <= max(q.terms), (a, b)
+                for c in [*q.terms.values(), *r.terms.values()]:
+                    assert type(c) is int or c.denominator != 1, (a, b, c)
+
+    def test_arguments_left_alone(self):
+        cases = list(self.cases())
+        cases += [(self.dense(n), b) for n in (31, 101) for b in (h_form(1), h_form(-4))]
+        for a, b in cases:
+            a_before, b_before = dict(a.terms), dict(b.terms)
+            divmod_rational(a, b)
+            is_multiple(a, b)
+            assert a.terms == a_before and b.terms == b_before, (a, b)
+
 
 class TestRingAxioms:
     def test_random_triples(self):
