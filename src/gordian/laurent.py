@@ -291,27 +291,26 @@ def divmod_rational(a: LaurentPoly, b: LaurentPoly):
     b_deg, b_val = b.degree, b.valuation
     q_terms: dict = {}
     r = dict(a.terms)
-    if r:
-        get = r.get
-        sweeps = (
-            (range(max(r), width - 1, -1), b_deg, b.coeff(b_deg)),
-            (range(min(r), 0), b_val, b.coeff(b_val)),
-        )
-        for exponents, anchor, divisor in sweeps:
-            for e in exponents:
-                c = get(e)
-                if c is None:
-                    continue
-                shift = e - anchor
-                factor = _norm_coeff(Fraction(c) / divisor)
-                q_terms[shift] = factor
-                for d, bc in b.terms.items():
-                    d += shift
-                    v = get(d, 0) - bc * factor
-                    if v:
-                        r[d] = v if type(v) is int else _norm_coeff(v)
-                    else:
-                        del r[d]
+    get = r.get
+    sweeps = (
+        (range(max(r, default=0), width - 1, -1), b_deg, b.coeff(b_deg)),
+        (range(min(r, default=0), 0), b_val, b.coeff(b_val)),
+    )
+    for exponents, anchor, divisor in sweeps:
+        for e in exponents:
+            c = get(e)
+            if c is None:
+                continue
+            shift = e - anchor
+            factor = _norm_coeff(Fraction(c) / divisor)
+            q_terms[shift] = factor
+            for d, bc in b.terms.items():
+                d += shift
+                v = get(d, 0) - bc * factor
+                if v:
+                    r[d] = v if type(v) is int else _norm_coeff(v)
+                else:
+                    del r[d]
     return LaurentPoly(q_terms), _from_terms(r)
 
 
