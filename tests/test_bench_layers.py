@@ -15,27 +15,23 @@ def bench():
     return module
 
 
-def test_writes_layers_context_and_runs(bench, tmp_path):
+def test_writes_layers_context_and_runs(bench, tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "SIZES", (3, 5))
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
     run = tmp_path / "battery.out"
     run.write_text('metric x = 1 ms\n{"correct": true, "attempted": 3, "failed": 0, "metrics": {}}\n')
-    out = tmp_path / "BENCH_0.json"
-    assert bench.main(["--pr", "0", "--sizes", "3", "5", "--run", f"battery.seed1={run}", "--out", str(out)]) == 0
-    record = json.loads(out.read_text())
+    assert bench.main(["--pr", "0", "--run", f"battery.seed1={run}"]) == 0
+    record = json.loads((tmp_path / "BENCH_0.json").read_text())
     assert record["pr"] == 0
     assert {"python", "cpu_count", "platform"} <= record["machine"].keys()
     assert record["perfbench_runs"] == {"battery.seed1": {"correct": True, "attempted": 3, "failed": 0, "metrics": {}}}
     # two divisions and one report per size
     assert len(record["layers"]) == 6
     for timing in record["layers"].values():
-        assert len(timing["runs_s"]) == 3
+        assert len(timing["runs_s"]) == bench.RUNS
         assert timing["min_s"] <= timing["median_s"] <= timing["max_s"]
 
 
-def test_dense_has_every_exponent(bench):
-    assert bench.dense(2).terms == {-2: 1, -1: 1, 0: -3, 1: 1, 2: 1}
-
-
-@pytest.mark.parametrize("argv", [["--pr", "1", "--runs", "2"], ["--pr", "1", "--run", "no-equals-sign"]])
-def test_refuses_bad_arguments(bench, argv):
+def test_refuses_a_run_without_a_name(bench):
     with pytest.raises(SystemExit):
-        bench.main(argv)
+        bench.main(["--pr", "1", "--run", "no-equals-sign"])

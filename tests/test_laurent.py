@@ -1,5 +1,7 @@
 import random
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ from gordian.seifert import h_form
 from oracles import divmod_by_long_division, is_multiple_by_long_division
 
 L = LaurentPoly
+# 1 - 2n + sum of t^k + t^-k for k = 1..n, the dividend the layer timings use
+dense = runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "bench_layers.py"))["dense"]
 
 
 def P(text):
@@ -357,14 +361,6 @@ class TestAgainstLongDivision:
             assert is_multiple(a, b) == verdicts[-1], (a, b)
         assert len(verdicts) == 726 and set(verdicts) == {True, False}
 
-    @staticmethod
-    def dense(n):
-        """1 - 2n + sum of t^k + t^-k for k = 1..n: every exponent in [-n, n]."""
-        terms = {0: 1 - 2 * n}
-        for k in range(1, n + 1):
-            terms[k] = terms[-k] = 1
-        return L(terms)
-
     def test_dense_and_two_phase_dividends(self):
         rng = random.Random(37)
         divisors = [h_form(s * h) for h in (1, 4, 8) for s in (1, -1)]
@@ -381,7 +377,7 @@ class TestAgainstLongDivision:
                 # nonzero at -12 and at 12, so both sweeps take a step
                 terms.update({-12: Fraction(rng.randint(1, 9), 7), 12: Fraction(-5, rng.randint(1, 9))})
                 spanning.append(L(terms))
-            for a in [self.dense(n) for n in (31, 101, 301)] + spanning:
+            for a in [dense(n) for n in (31, 101, 301)] + spanning:
                 q, r = divmod_rational(a, b)
                 q_ref, r_ref = divmod_by_long_division(a.terms, b.terms)
                 assert q.terms == q_ref and r.terms == r_ref, (a, b)
@@ -392,7 +388,7 @@ class TestAgainstLongDivision:
 
     def test_arguments_left_alone(self):
         cases = list(self.cases())
-        cases += [(self.dense(n), b) for n in (31, 101) for b in (h_form(1), h_form(-4))]
+        cases += [(dense(n), b) for n in (31, 101) for b in (h_form(1), h_form(-4))]
         for a, b in cases:
             a_before, b_before = dict(a.terms), dict(b.terms)
             divmod_rational(a, b)

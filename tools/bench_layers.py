@@ -2,17 +2,18 @@
 
 Usage (from the repository root; standard library only):
 
-    python3 tools/bench_layers.py --pr 26 --runs 3 \
+    python3 tools/bench_layers.py --pr 26 \
         --run battery.seed23=out/battery.23.out --run verify.seed1=out/verify.1.out
 
-Each case runs --runs times in this process, and the file records every
-run's wall time with its minimum, median, maximum and spread (max - min over
-the median).  The cases are the division layer's worst cases: one
-``divmod_rational`` of the dense ``1-2N + sum_k (t^k + t^-k)`` by ``t-1+t^-1``
-and by ``4t-7+4t^-1``, and ``build_report(t-1+t^-1, t^N-1+t^-N)``, at each N
-of --sizes.  Each --run NAME=FILE adds the last line of a
-``perfbench/run.py`` output file, its JSON summary, under NAME, so the file
-keeps the end-to-end runs a change was judged on next to the layer times.
+writes BENCH_26.json at the repository root.  Each case runs RUNS times in
+this process, and the file records every run's wall time with its minimum,
+median, maximum and spread (max - min over the median).  The cases are the
+division layer's worst cases: one ``divmod_rational`` of the dense
+``1-2N + sum_k (t^k + t^-k)`` by ``t-1+t^-1`` and by ``4t-7+4t^-1``, and
+``build_report(t-1+t^-1, t^N-1+t^-N)``, at each N of SIZES.  Each --run
+NAME=FILE adds the last line of a ``perfbench/run.py`` output file, its JSON
+summary, under NAME, so the file keeps the end-to-end runs a change was
+judged on next to the layer times.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from gordian.laurent import LaurentPoly, divmod_rational  # noqa: E402
 from gordian.obstruct import build_report  # noqa: E402
 
 DIVISORS = ("t-1+t^-1", "4t-7+4t^-1")
+SIZES = (101, 301, 1001)
+# one run shows no spread
+RUNS = 3
 
 
 def dense(n: int) -> LaurentPoly:
@@ -57,9 +61,9 @@ def cases(sizes):
         yield f"build_report.[{DIVISORS[0]}].[t^{n}-1+t^-{n}]", lambda wide=wide: build_report(knot, wide)
 
 
-def timed(fn, runs: int) -> dict:
+def timed(fn) -> dict:
     seconds = []
-    for _ in range(runs):
+    for _ in range(RUNS):
         start = time.perf_counter()
         fn()
         seconds.append(time.perf_counter() - start)
@@ -122,20 +126,15 @@ def _named_file(text: str):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="the number in BENCH_<pr>.json")
-    parser.add_argument("--runs", type=int, default=3, help="runs per case, at least 3 (default 3)")
-    parser.add_argument("--sizes", type=int, nargs="+", default=[101, 301, 1001], help="the N of each case")
     parser.add_argument("--run", type=_named_file, action="append", default=[], metavar="NAME=FILE",
                         help="a perfbench/run.py output file whose JSON summary to record")
-    parser.add_argument("--out", type=Path, help="output file (default BENCH_<pr>.json at the repository root)")
     args = parser.parse_args(argv)
-    if args.runs < 3:
-        parser.error("--runs must be at least 3: one run shows no spread")
     runs = {name: last_json_line(path) for name, path in args.run}
     layers = {}
-    for name, fn in cases(args.sizes):
-        layers[name] = timed(fn, args.runs)
+    for name, fn in cases(SIZES):
+        layers[name] = timed(fn)
         print(f"{name}: median {layers[name]['median_s']:.4f} s, spread {layers[name]['spread']:.2f}", file=sys.stderr)
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     record = {"pr": args.pr, "machine": machine_context(), "layers": layers, "perfbench_runs": runs}
     out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
