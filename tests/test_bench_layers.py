@@ -25,8 +25,8 @@ def test_writes_layers_context_and_runs(bench, tmp_path, monkeypatch):
     assert record["pr"] == 0
     assert {"python", "cpu_count", "platform"} <= record["machine"].keys()
     assert record["perfbench_runs"] == {"battery.seed1": {"correct": True, "attempted": 3, "failed": 0, "metrics": {}}}
-    # two divisions and one report per size
-    assert len(record["layers"]) == 6
+    # three divisions and one report per size
+    assert len(record["layers"]) == 8
     for timing in record["layers"].values():
         assert len(timing["runs_s"]) == bench.RUNS
         assert timing["min_s"] <= timing["median_s"] <= timing["max_s"]

@@ -8,12 +8,13 @@ Usage (from the repository root; standard library only):
 writes BENCH_26.json at the repository root.  Each case runs RUNS times in
 this process, and the file records every run's wall time with its minimum,
 median, maximum and spread (max - min over the median).  The cases are the
-division layer's worst cases: one ``divmod_rational`` of the dense
-``1-2N + sum_k (t^k + t^-k)`` by ``t-1+t^-1`` and by ``4t-7+4t^-1``, and
-``build_report(t-1+t^-1, t^N-1+t^-N)``, at each N of SIZES.  Each --run
-NAME=FILE adds the last line of a ``perfbench/run.py`` output file, its JSON
-summary, under NAME, so the file keeps the end-to-end runs a change was
-judged on next to the layer times.
+division layer's worst cases, at each N of SIZES: one ``divmod_rational`` of
+the dense ``1-2N + sum_k (t^k + t^-k)`` by ``t-1+t^-1`` and by
+``4t-7+4t^-1``, one of the sparse ``t^2N-1+t^-2N`` by ``t^N-1+t^-N``, and
+``build_report(t-1+t^-1, t^N-1+t^-N)``.  Each --run NAME=FILE adds the last
+line of a ``perfbench/run.py`` output file, its JSON summary, under NAME, so
+the file keeps the end-to-end runs a change was judged on next to the layer
+times.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ def cases(sizes):
         for text in DIVISORS:
             b = LaurentPoly.parse(text)
             yield f"divmod_rational.dense{n}.by[{text}]", lambda a=a, b=b: divmod_rational(a, b)
+        # three terms across breadth 4n: a division that visits every
+        # exponent, not only the nonzero ones, walks 2n empty ones
+        a, b = LaurentPoly({2 * n: 1, 0: -1, -2 * n: 1}), LaurentPoly({n: 1, 0: -1, -n: 1})
+        yield f"divmod_rational.[t^{2 * n}-1+t^-{2 * n}].by[t^{n}-1+t^-{n}]", lambda a=a, b=b: divmod_rational(a, b)
     knot = LaurentPoly.parse(DIVISORS[0])
     for n in sizes:
         wide = LaurentPoly({n: 1, 0: -1, -n: 1})
