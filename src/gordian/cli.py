@@ -361,10 +361,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             raise UsageError("a subcommand is required")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return args.func(args, sys.stdout)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

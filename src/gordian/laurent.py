@@ -50,16 +50,14 @@ class LaurentPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        if isinstance(terms, str):
-            raise ValueError(f"LaurentPoly takes terms, not text: use LaurentPoly.parse({terms!r})")
         if hasattr(terms, "items"):
-            # a mapping holds each exponent once: nothing to merge
             self.terms = _canonical(terms)
+        elif terms is None:
+            self.terms = {}
+        elif isinstance(terms, str):
+            raise ValueError(f"LaurentPoly takes terms, not text: use LaurentPoly.parse({terms!r})")
         else:
-            table = {}
-            for exp, coeff in terms or ():
-                table[exp] = table.get(exp, 0) + coeff
-            self.terms = _canonical(table)
+            raise TypeError(f"LaurentPoly takes a mapping {{exponent: coefficient}}, got {type(terms).__name__}")
 
     # -- constructors ------------------------------------------------------
 
@@ -76,20 +74,20 @@ class LaurentPoly:
         return cls({0: c})
 
     @classmethod
-    def monomial(cls, exp: int, coeff=1) -> "LaurentPoly":
-        return cls({exp: coeff})
+    def monomial(cls, exp: int) -> "LaurentPoly":
+        return cls({exp: 1})
 
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly":
         """Parse the term grammar: integer coefficients, ``t`` and ``t^E``.
 
-        Whitespace is insignificant.  Raises PolyParseError on anything
-        outside the grammar.
+        Whitespace is insignificant and repeated exponents are summed.
+        Raises PolyParseError on anything outside the grammar.
         """
         s = re.sub(r"\s+", "", text)
         if not s:
             raise PolyParseError("empty polynomial string")
-        terms = []
+        table = {}
         pos = 0
         while pos < len(s):
             m = _TERM_RE.match(s, pos)
@@ -109,9 +107,9 @@ class LaurentPoly:
                 exp = 1
             else:
                 exp = int(exp_digits)
-            terms.append((exp, coeff))
+            table[exp] = table.get(exp, 0) + coeff
             pos = m.end()
-        return cls(terms)
+        return cls(table)
 
     # -- basic queries -----------------------------------------------------
 
@@ -275,20 +273,17 @@ def divmod_rational(a: LaurentPoly, b: LaurentPoly):
     touches exponents e - breadth(b) >= 0 to e, so it makes no new
     negative exponent, and a bottom step touches none at breadth(b) or
     above; every nonzero exponent is cleared once, so every quotient term
-    is set once.  A step touches breadth(b) + 1 entries, deletes those that
-    become zero and normalises the changed ones.  A heap hands each sweep
-    its next nonzero exponent, so a division of n terms takes at most
-    breadth(a) steps of O(breadth(b) + log n) each, and the empty exponents
-    of a sparse a cost nothing: a scan of every exponent instead made
-    build_report(t^1000-1+t^-1000 with u_a = 1, t^2000-1+t^-2000) take 76 s
-    (19 s with the heap), at about 15% less per dense monic division.  A
-    non-monic divisor still grows Fraction denominators as lead^k, so the
-    bit cost stays superlinear.
+    is set once, to a nonzero normalised factor, and the quotient table is
+    canonical as built.  A step touches breadth(b) + 1 entries, deletes
+    those that become zero and normalises the changed ones.  A heap hands
+    each sweep its next nonzero exponent, so a division of n terms takes at
+    most breadth(a) steps of O(breadth(b) + log n) each, and the empty
+    exponents of a sparse a cost nothing.  A non-monic divisor still grows
+    Fraction denominators as lead^k, so the bit cost stays superlinear.
 
-    Normalising keeps an integral value an int: without it, every step
-    multiplies an int by an integral Fraction, and a first version of the
-    one-table loop made the report on t-1+t^-1 and t^301-1+t^-301 23% to
-    30% slower than the older loop, which built four polynomials per step.
+    Normalising keeps an integral value an int: otherwise every later step
+    on that entry would multiply an int by an integral Fraction, which
+    costs far more than int arithmetic.
     """
     if b.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
@@ -327,7 +322,7 @@ def divmod_rational(a: LaurentPoly, b: LaurentPoly):
                     r[d] = v if type(v) is int else _norm_coeff(v)
                 else:
                     del r[d]
-    return LaurentPoly(q_terms), _from_terms(r)
+    return _from_terms(q_terms), _from_terms(r)
 
 
 def is_multiple(a: LaurentPoly, b: LaurentPoly) -> bool:

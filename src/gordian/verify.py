@@ -7,6 +7,7 @@ the failure persists, then dumped in the suite result.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import namedtuple
 
@@ -66,10 +67,10 @@ def random_seifert(rng: random.Random, size: int, bound: int = 3) -> SeifertMatr
     return SeifertMatrix(random_seifert_rows(rng, size, bound))
 
 
-def random_unimodular(rng: random.Random, size: int, steps: int = 6):
-    """A random product of elementary integer row operations; det is +-1."""
+def random_unimodular(rng: random.Random, size: int):
+    """A random product of six elementary integer row operations; det is +-1."""
     P = [[int(i == j) for j in range(size)] for i in range(size)]
-    for _ in range(steps):
+    for _ in range(6):
         kind = rng.randrange(3)
         i, j = rng.sample(range(size), 2) if size >= 2 else (0, 0)
         if kind == 0 and i != j:
@@ -83,15 +84,15 @@ def random_unimodular(rng: random.Random, size: int, steps: int = 6):
     return P
 
 
-def random_vector(rng: random.Random, size: int, bound: int = 3):
-    return [rng.randint(-bound, bound) for _ in range(size)]
+def random_vector(rng: random.Random, size: int):
+    return [rng.randint(-3, 3) for _ in range(size)]
 
 
-def random_laurent(rng: random.Random, max_exp: int = 5, max_coeff: int = 20) -> LaurentPoly:
+def random_laurent(rng: random.Random) -> LaurentPoly:
     terms = {}
-    for exp in range(-max_exp, max_exp + 1):
+    for exp in range(-5, 6):
         if rng.random() < 0.4:
-            terms[exp] = rng.randint(-max_coeff, max_coeff)
+            terms[exp] = rng.randint(-20, 20)
     return LaurentPoly(terms)
 
 
@@ -102,36 +103,27 @@ def small_laurent(rng: random.Random) -> LaurentPoly:
 # -- counterexample shrinking -------------------------------------------------------
 
 
-def _flatten(value, out):
-    if isinstance(value, bool):
-        out.append(None)
-    elif isinstance(value, int):
-        out.append(value)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _flatten(item, out)
-    else:
-        out.append(None)
-
-
-def _rebuild(value, flat, pos):
-    if isinstance(value, bool):
-        return value, pos + 1
-    if isinstance(value, int):
-        return flat[pos], pos + 1
+def _leaves(value):
+    """The leaves of a nested list or tuple in order: an int that is not a
+    bool as itself, any other leaf as None."""
     if isinstance(value, (list, tuple)):
-        items = []
-        for item in value:
-            new, pos = _rebuild(item, flat, pos)
-            items.append(new)
-        return (tuple(items) if isinstance(value, tuple) else items), pos
-    return value, pos + 1
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value if isinstance(value, int) and not isinstance(value, bool) else None]
+
+
+def _rebuild(value, values):
+    """value with each leaf replaced by the next of values, a None keeping
+    the leaf as it is."""
+    if isinstance(value, (list, tuple)):
+        items = [_rebuild(item, values) for item in value]
+        return tuple(items) if isinstance(value, tuple) else items
+    new = next(values)
+    return value if new is None else new
 
 
 def minimize_case(case, still_fails):
     """Greedily zero scalars of a failing case while it keeps failing."""
-    flat = []
-    _flatten(case, flat)
+    flat = _leaves(case)
     changed = True
     while changed:
         changed = False
@@ -140,7 +132,7 @@ def minimize_case(case, still_fails):
                 continue
             trial = list(flat)
             trial[idx] = 0
-            candidate, _ = _rebuild(case, trial, 0)
+            candidate = _rebuild(case, iter(trial))
             try:
                 if still_fails(candidate):
                     flat = trial
@@ -206,8 +198,8 @@ def suite_ring_axioms(seed: int, iters: int = 1000) -> SuiteResult:
     return _loop("ring-axioms", seed, iters, draw, check, lambda c: f"polynomial terms: {c}")
 
 
-def _border_case(rng, i, sizes=(0, 2, 4)):
-    size = sizes[i % len(sizes)]
+def _border_case(rng, i):
+    size = (0, 2, 4)[i % 3]
     inner = random_seifert_rows(rng, size)
     eps = rng.choice((1, -1))
     x = rng.randint(-3, 3)
@@ -357,15 +349,18 @@ QUADFORM_D_LIMIT = 50
 QUADFORM_ORACLE_BOX = 60
 
 
-def quadform_oracle_values(h: int, box: int = QUADFORM_ORACLE_BOX, limit: int = QUADFORM_D_LIMIT):
-    """All values of the form with |x|, |y| <= box, clipped to [0, limit]."""
+@functools.cache
+def quadform_oracle_values(h: int) -> frozenset:
+    """All values of the form with |x|, |y| <= QUADFORM_ORACLE_BOX, clipped
+    to [0, QUADFORM_D_LIMIT].  Built once per h in a process."""
+    box = range(-QUADFORM_ORACLE_BOX, QUADFORM_ORACLE_BOX + 1)
     values = set()
-    for x in range(-box, box + 1):
-        for y in range(-box, box + 1):
+    for x in box:
+        for y in box:
             v = form_value(h, x, y)
-            if 0 <= v <= limit:
+            if 0 <= v <= QUADFORM_D_LIMIT:
                 values.add(v)
-    return values
+    return frozenset(values)
 
 
 QUADFORM_GRID = tuple(
@@ -377,9 +372,7 @@ def suite_quadform_oracle(seed: int, iters: int = len(QUADFORM_GRID)) -> SuiteRe
     """The decision procedure agrees with double-loop brute force on the
     grid h in {1,2,3,5,7}, 0 < |d| <= 50.  Case i is grid point i (cycling
     past the end); the default count is the whole grid.  The seed draws
-    nothing and is accepted for interface uniformity.  Each h's oracle
-    table is built once per run, when a case first needs it."""
-    tables = {}
+    nothing and is accepted for interface uniformity."""
 
     def draw(_, i):
         return QUADFORM_GRID[i % len(QUADFORM_GRID)]
@@ -388,12 +381,11 @@ def suite_quadform_oracle(seed: int, iters: int = len(QUADFORM_GRID)) -> SuiteRe
         h, d = case
         if h not in QUADFORM_H_VALUES or not d:
             return True  # off the grid: a shrunk case must stay on it
-        if h not in tables:
-            tables[h] = quadform_oracle_values(h)
+        table = quadform_oracle_values(h)
         verdict = quadform_represents(h, d)
         if verdict.outcome == "witness":
-            return abs(d) in tables[h] and form_value(h, verdict.x, verdict.y) == verdict.sign * d
-        return verdict.outcome == "refuted" and abs(d) not in tables[h]
+            return abs(d) in table and form_value(h, verdict.x, verdict.y) == verdict.sign * d
+        return verdict.outcome == "refuted" and abs(d) not in table
 
     return _loop("quadform-oracle", seed, iters, draw, check, lambda c: f"h = {c[0]}, d = {c[1]}")
 

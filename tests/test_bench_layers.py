@@ -35,3 +35,10 @@ def test_writes_layers_context_and_runs(bench, tmp_path, monkeypatch):
 def test_refuses_a_run_without_a_name(bench):
     with pytest.raises(SystemExit):
         bench.main(["--pr", "1", "--run", "no-equals-sign"])
+
+
+def test_runs_interleave_the_cases(bench):
+    calls = []
+    timings = bench.timed([(name, lambda name=name: calls.append(name)) for name in ("a", "b")])
+    assert calls == ["a", "b"] * bench.RUNS
+    assert [len(timing["runs_s"]) for timing in timings.values()] == [bench.RUNS] * 2

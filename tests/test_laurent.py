@@ -55,9 +55,16 @@ class TestParsePrint:
 
 class TestConstruction:
     def test_pairs_with_cancelling_duplicates(self):
-        p = L([(1, 2), (0, 5), (1, -2), (3, 1), (0, -5), (0, 4)])
-        assert p.terms == {3: 1, 0: 4}
-        assert L([(2, 1), (2, -1)]).terms == {}
+        # parse sums the terms of a repeated exponent; a sum of zero is dropped
+        assert P("2t+5-2t+t^3-5+4").terms == {3: 1, 0: 4}
+        assert P("t^2-t^2").terms == {}
+
+    def test_only_a_mapping_or_nothing(self):
+        for other in ([(1, 2)], ((1, 2),), ((e, 1) for e in range(3)), 5):
+            with pytest.raises(TypeError, match="mapping"):
+                L(other)
+        for p in (L(), L(None), L({})):
+            assert p.is_zero and p.terms == {}
 
     def test_text_is_refused_with_a_pointer_to_parse(self):
         for text in ("t-1+t^-1", "t", ""):
@@ -68,7 +75,7 @@ class TestConstruction:
         half = Fraction(1, 2)
         made = [
             L({0: Fraction(4, 2), 1: Fraction(-3, 1)}),
-            L([(0, half), (0, half)]),
+            L({0: half}) + L({0: half}),
             L({1: half}) + L({1: half, 0: Fraction(3, 2)}) + L({0: half}),
             L({1: half, 0: Fraction(1, 4)}) * L({0: 2}) * L({0: 2}),
             L({0: half}) * 2 + 1,
@@ -87,7 +94,7 @@ class TestConstruction:
 
     def test_non_integral_fractions_kept(self):
         third = Fraction(1, 3)
-        for p in (L({0: third}), L([(1, third), (1, third)]), L({0: third}) + 1, L({0: third}) * L({1: 2})):
+        for p in (L({0: third}), L({1: third}) + L({1: third}), L({0: third}) + 1, L({0: third}) * L({1: 2})):
             assert not p.is_integral
             assert all(type(c) is Fraction and c.denominator == 3 for c in p.terms.values())
 
@@ -95,7 +102,7 @@ class TestConstruction:
         rng = random.Random(12)
         zero_fraction = Fraction(0, 5)
         assert L({0: 0, 1: zero_fraction, 2: 3}).terms == {2: 3}
-        assert L([(0, 0), (1, zero_fraction)]).terms == {}
+        assert L({0: 0, 1: zero_fraction}).terms == {}
         for _ in range(300):
             p, q = random_poly(rng, max_coeff=2), random_poly(rng, max_coeff=2)
             half = L({e: Fraction(c, 2) for e, c in q.terms.items()})

@@ -4,7 +4,10 @@ from gordian import verify
 from gordian.cli import main
 from gordian.obstruct import QuadFormVerdict
 from gordian.verify import (
+    QUADFORM_D_LIMIT,
     QUADFORM_GRID,
+    QUADFORM_H_VALUES,
+    QUADFORM_ORACLE_BOX,
     SUITES,
     SuiteResult,
     minimize_case,
@@ -66,6 +69,19 @@ class TestMinimize:
         small = minimize_case(case, fails)
         assert small == ([0, [3, 0]], 0)
 
+    def test_keeps_non_int_leaves_and_container_types(self):
+        case = [True, (3, None, ["s", 4]), 1.5, (7, [2])]
+
+        def fails(c):
+            return c[1][2][1] == 4
+
+        small = minimize_case(case, fails)
+        assert small == [True, (0, None, ["s", 4]), 1.5, (0, [0])]
+        assert small[0] is True and type(small[2]) is float
+        assert [type(x) for x in (small, small[1], small[1][2], small[3], small[3][1])] == [
+            list, tuple, list, tuple, list,
+        ]
+
 
 class TestSuiteRunner:
     def test_all_suites_pass_small(self):
@@ -105,6 +121,20 @@ class TestSuiteRunner:
         assert (result.failures, result.counterexample) == (1, f"h = {h}, d = {d}")
         assert abs(d) in quadform_oracle_values(h)
         assert all(abs(e) not in quadform_oracle_values(g) for g, e in QUADFORM_GRID[: result.iterations - 1])
+
+    def test_quadform_oracle_values_are_built_once(self):
+        box = range(-QUADFORM_ORACLE_BOX, QUADFORM_ORACLE_BOX + 1)
+        for h in QUADFORM_H_VALUES:
+            table = quadform_oracle_values(h)
+            assert type(table) is frozenset
+            assert quadform_oracle_values(h) is table
+            brute = set()
+            for x in box:
+                for y in box:
+                    v = h * h * x * x + (2 * h - 1) * x * y + y * y
+                    if 0 <= v <= QUADFORM_D_LIMIT:
+                        brute.add(v)
+            assert table == brute
 
     def test_deterministic_for_fixed_seed(self):
         a = run_suite("sequiv", seed=9, iters=10)

@@ -6,11 +6,13 @@ Usage (from the repository root; standard library only):
         --run battery.seed23=out/battery.23.out --run verify.seed1=out/verify.1.out
 
 writes BENCH_26.json at the repository root.  Each case runs RUNS times in
-this process, and the file records every run's wall time with its minimum,
-median, maximum and spread (max - min over the median).  The cases are the
-division layer's worst cases, at each N of SIZES: one ``divmod_rational`` of
-the dense ``1-2N + sum_k (t^k + t^-k)`` by ``t-1+t^-1`` and by
-``4t-7+4t^-1``, one of the sparse ``t^2N-1+t^-2N`` by ``t^N-1+t^-N``, and
+this process, run r of every case before run r + 1 of any, so that every
+case's median samples the same stretch of machine time.  The file records
+every run's wall time with its minimum, median, maximum and spread (max -
+min over the median).  The cases are the division layer's worst cases, at
+each N of SIZES: one ``divmod_rational`` of the dense
+``1-2N + sum_k (t^k + t^-k)`` by ``t-1+t^-1`` and by ``4t-7+4t^-1``, one of
+the sparse ``t^2N-1+t^-2N`` by ``t^N-1+t^-N``, and
 ``build_report(t-1+t^-1, t^N-1+t^-N)``.  Each --run NAME=FILE adds the last
 line of a ``perfbench/run.py`` output file, its JSON summary, under NAME, so
 the file keeps the end-to-end runs a change was judged on next to the layer
@@ -66,12 +68,19 @@ def cases(sizes):
         yield f"build_report.[{DIVISORS[0]}].[t^{n}-1+t^-{n}]", lambda wide=wide: build_report(knot, wide)
 
 
-def timed(fn) -> dict:
-    seconds = []
+def timed(named) -> dict:
+    """name -> timing of each (name, callable) in named, the cases' runs
+    interleaved."""
+    seconds = {name: [] for name, _ in named}
     for _ in range(RUNS):
-        start = time.perf_counter()
-        fn()
-        seconds.append(time.perf_counter() - start)
+        for name, fn in named:
+            start = time.perf_counter()
+            fn()
+            seconds[name].append(time.perf_counter() - start)
+    return {name: _summary(runs) for name, runs in seconds.items()}
+
+
+def _summary(seconds) -> dict:
     median = statistics.median(seconds)
     return {
         "runs_s": seconds,
@@ -135,10 +144,9 @@ def main(argv=None) -> int:
                         help="a perfbench/run.py output file whose JSON summary to record")
     args = parser.parse_args(argv)
     runs = {name: last_json_line(path) for name, path in args.run}
-    layers = {}
-    for name, fn in cases(SIZES):
-        layers[name] = timed(fn)
-        print(f"{name}: median {layers[name]['median_s']:.4f} s, spread {layers[name]['spread']:.2f}", file=sys.stderr)
+    layers = timed(list(cases(SIZES)))
+    for name, timing in layers.items():
+        print(f"{name}: median {timing['median_s']:.4f} s, spread {timing['spread']:.2f}", file=sys.stderr)
     out = ROOT / f"BENCH_{args.pr}.json"
     record = {"pr": args.pr, "machine": machine_context(), "layers": layers, "perfbench_runs": runs}
     out.write_text(json.dumps(record, indent=2) + "\n")
