@@ -1,8 +1,13 @@
 """Seeded randomized verification suites.
 
-Each suite draws its cases from an explicit 64 bit seed, so a run is fully
-deterministic.  A failing case is reduced by greedily zeroing scalars while
-the failure persists, then dumped in the suite result.
+One table, ``SUITES``, maps each suite name to its default case count, its
+draw, its check and its description of a failing case, and one runner,
+``run_suite``, runs any of them.  Each run draws its cases from an explicit
+64 bit seed, so it is fully deterministic.  A case is plain nested lists and
+tuples of ints, and each check rebuilds its objects from it; that is why the
+shrinker can zero any leaf.  The first failing case is reduced by greedily
+zeroing scalars while the failure persists, then described in the suite
+result.
 """
 
 from __future__ import annotations
@@ -143,62 +148,39 @@ def minimize_case(case, still_fails):
     return case
 
 
-# -- individual suites ----------------------------------------------------------------
+# -- the suites ----------------------------------------------------------------------
+# draw(rng, i) returns case i of a run; check(case) returns True when the
+# identity holds for it.
 
 
-def _loop(name, seed, iters, draw, check, describe):
-    rng = random.Random(seed)
-    for i in range(iters):
-        case = draw(rng, i)
-        ok = False
-        try:
-            ok = check(case)
-        except Exception:
-            ok = False
-        if not ok:
-            def fails(c):
-                # a shrink that merely makes the case invalid is not kept
-                try:
-                    return check(c) is False
-                except Exception:
-                    return False
-
-            small = minimize_case(case, fails)
-            return SuiteResult(name, seed, i + 1, 1, describe(small))
-    return SuiteResult(name, seed, iters, 0)
+def _draw_ring_axioms(rng, _):
+    return tuple(sorted(random_laurent(rng).terms.items()) for _ in range(3))
 
 
-def suite_ring_axioms(seed: int, iters: int = 1000) -> SuiteResult:
+def _check_ring_axioms(case) -> bool:
     """Associativity, commutativity, distributivity, and the involution laws."""
-
-    def draw(rng, _):
-        return tuple(sorted(random_laurent(rng).terms.items()) for _ in range(3))
-
-    def check(case):
-        p, q, r = (LaurentPoly(dict(c)) for c in case)
-        # shared subterms are taken once; the two sides of each identity
-        # are still different expressions
-        pq, pb, qb = p * q, p.bar(), q.bar()
-        if (p + q) + r != p + (q + r):
-            return False
-        if pq * r != p * (q * r):
-            return False
-        if p * (q + r) != pq + p * r:
-            return False
-        if pq != q * p:
-            return False
-        if pq.bar() != pb * qb:
-            return False
-        if (p + q).bar() != pb + qb:
-            return False
-        if pb.bar() != p:
-            return False
-        return (p * pb).is_bar_symmetric()
-
-    return _loop("ring-axioms", seed, iters, draw, check, lambda c: f"polynomial terms: {c}")
+    p, q, r = (LaurentPoly(dict(c)) for c in case)
+    # shared subterms are taken once; the two sides of each identity
+    # are still different expressions
+    pq, pb, qb = p * q, p.bar(), q.bar()
+    if (p + q) + r != p + (q + r):
+        return False
+    if pq * r != p * (q * r):
+        return False
+    if p * (q + r) != pq + p * r:
+        return False
+    if pq != q * p:
+        return False
+    if pq.bar() != pb * qb:
+        return False
+    if (p + q).bar() != pb + qb:
+        return False
+    if pb.bar() != p:
+        return False
+    return (p * pb).is_bar_symmetric()
 
 
-def _border_case(rng, i):
+def _draw_border(rng, i):
     size = (0, 2, 4)[i % 3]
     inner = random_seifert_rows(rng, size)
     eps = rng.choice((1, -1))
@@ -208,140 +190,105 @@ def _border_case(rng, i):
     return inner, eps, x, M, N
 
 
-def suite_border_determinant(seed: int, iters: int = 200) -> SuiteResult:
+def _border_case(case):
+    """The inner matrix of a bordered case and its a+ border, or None when a
+    shrink zeroed eps."""
+    inner_rows, eps, x, M, N = case
+    if eps not in (1, -1):
+        return None
+    inner = SeifertMatrix(inner_rows)
+    return inner, unknotting_border(inner, eps, x, M, N, "a+")
+
+
+def _check_eq5(case) -> bool:
     """Symbolic expansion identity for a once-bordered matrix.
 
     With W the border of W' by (eps, x, M, N):
     det(W - tW^T) = eps(1-t) det[[x(1-t), M-tN], [N^T-tM^T, W'-tW'^T]]
                     + t det(W' - tW'^T).
     """
-
-    def check(case):
-        inner_rows, eps, x, M, N = case
-        if eps not in (1, -1):
-            return True
-        inner = SeifertMatrix(inner_rows)
-        outer = unknotting_border(inner, eps, x, M, N, "a+")
-        # det(W - tW^T) = t^(m/2) Delta(W) for a Seifert matrix W of size m;
-        # the block is A - tA^T for A = [[x, M], [N^T, W']]
-        lhs = alexander(outer).shift(outer.size // 2)
-        inner_det = alexander(inner).shift(inner.size // 2)
-        block = det_laurent([[x, *M]] + [[n, *row] for n, row in zip(N, inner.rows)])
-        rhs = LaurentPoly({0: eps, 1: -eps}) * block + LaurentPoly.monomial(1) * inner_det
-        return lhs == rhs
-
-    return _loop(
-        "eq5",
-        seed,
-        iters,
-        _border_case,
-        check,
-        lambda c: f"inner = {c[0]}, eps = {c[1]}, x = {c[2]}, M = {c[3]}, N = {c[4]}",
-    )
+    bordered = _border_case(case)
+    if bordered is None:
+        return True
+    inner, outer = bordered
+    _, eps, x, M, N = case
+    # det(W - tW^T) = t^(m/2) Delta(W) for a Seifert matrix W of size m;
+    # the block is A - tA^T for A = [[x, M], [N^T, W']]
+    lhs = alexander(outer).shift(outer.size // 2)
+    inner_det = alexander(inner).shift(inner.size // 2)
+    block = det_laurent([[x, *M]] + [[n, *row] for n, row in zip(N, inner.rows)])
+    rhs = LaurentPoly({0: eps, 1: -eps}) * block + LaurentPoly.monomial(1) * inner_det
+    return lhs == rhs
 
 
-def suite_sequiv(seed: int, iters: int = 500) -> SuiteResult:
-    """Invariance of (Alexander, signature, determinant) under congruence,
-    enlargement, and all four border variants; reduction round-trips."""
-
-    def draw(rng, i):
-        size = (2, 4)[i % 2]
-        rows = random_seifert_rows(rng, size)
-        P = random_unimodular(rng, size)
-        kind = rng.choice(("row-border", "column-border"))
-        x = rng.randint(-3, 3)
-        M = random_vector(rng, size)
-        N = random_vector(rng, size)
-        eps = rng.choice((1, -1))
-        return rows, P, kind == "row-border", x, M, N, eps
-
-    def triple(V):
-        delta = alexander(V)
-        return delta, signature(V), abs(delta.evaluate(-1))
-
-    def check(case):
-        rows, P, is_row, x, M, N, eps = case
-        if eps not in (1, -1):
-            return True
-        V = SeifertMatrix(rows)
-        expected = triple(V)
-        if triple(congruent_transform(V, P)) != expected:
-            return False
-        kind = "row-border" if is_row else "column-border"
-        E = enlarge(V, kind, x, M, N)
-        if triple(E) != expected:
-            return False
-        if try_reduce(E) != V:
-            return False
-        variants = {
-            triple(unknotting_border(V, eps, x, M, N, variant))
-            for variant in BORDER_VARIANTS
-        }
-        return len(variants) == 1
-
-    return _loop(
-        "sequiv",
-        seed,
-        iters,
-        draw,
-        check,
-        lambda c: f"V = {c[0]}, P = {c[1]}, row_border = {c[2]}, x = {c[3]}, M = {c[4]}, N = {c[5]}, eps = {c[6]}",
-    )
-
-
-def suite_sesquilinear(seed: int, iters: int = 200) -> SuiteResult:
-    """pairing(a x, b y) equals a bar(b) pairing(x, y) in Q(L)/L."""
-
-    def draw(rng, i):
-        size = (2, 4)[i % 2]
-        rows = random_seifert_rows(rng, size)
-        x = [sorted(small_laurent(rng).terms.items()) for _ in range(size)]
-        y = [sorted(small_laurent(rng).terms.items()) for _ in range(size)]
-        a = sorted(small_laurent(rng).terms.items())
-        b = sorted(small_laurent(rng).terms.items())
-        return rows, x, y, a, b
-
-    def check(case):
-        rows, x_terms, y_terms, a_terms, b_terms = case
-        V = SeifertMatrix(rows)
-        x = [LaurentPoly(dict(t)) for t in x_terms]
-        y = [LaurentPoly(dict(t)) for t in y_terms]
-        a = LaurentPoly(dict(a_terms))
-        b = LaurentPoly(dict(b_terms))
-        lhs = pairing(V, [a * c for c in x], [b * c for c in y])
-        rhs = pairing(V, x, y).scale(a * b.bar())
-        return fractions_equal(lhs, rhs)
-
-    return _loop(
-        "sesquilinear",
-        seed,
-        iters,
-        draw,
-        check,
-        lambda c: f"V = {c[0]}, x = {c[1]}, y = {c[2]}, a = {c[3]}, b = {c[4]}",
-    )
-
-
-def suite_border_pairing(seed: int, iters: int = 200) -> SuiteResult:
+def _check_main_theorem(case) -> bool:
     """Self-pairing of the new generator of a bordered matrix equals
     eps Delta(inner) / Delta(outer)."""
+    bordered = _border_case(case)
+    return bordered is None or border_self_pairing_check(bordered[1], bordered[0])
 
-    def check(case):
-        inner_rows, eps, x, M, N = case
-        if eps not in (1, -1):
-            return True
-        inner = SeifertMatrix(inner_rows)
-        outer = unknotting_border(inner, eps, x, M, N, "a+")
-        return border_self_pairing_check(outer, inner)
 
-    return _loop(
-        "main-theorem",
-        seed,
-        iters,
-        _border_case,
-        check,
-        lambda c: f"inner = {c[0]}, eps = {c[1]}, x = {c[2]}, M = {c[3]}, N = {c[4]}",
-    )
+def _describe_border(case) -> str:
+    inner, eps, x, M, N = case
+    return f"inner = {inner}, eps = {eps}, x = {x}, M = {M}, N = {N}"
+
+
+def _draw_sequiv(rng, i):
+    size = (2, 4)[i % 2]
+    rows = random_seifert_rows(rng, size)
+    P = random_unimodular(rng, size)
+    is_row = rng.choice((True, False))
+    x = rng.randint(-3, 3)
+    M = random_vector(rng, size)
+    N = random_vector(rng, size)
+    eps = rng.choice((1, -1))
+    return rows, P, is_row, x, M, N, eps
+
+
+def _invariants(V):
+    delta = alexander(V)
+    return delta, signature(V), abs(delta.evaluate(-1))
+
+
+def _check_sequiv(case) -> bool:
+    """Invariance of (Alexander, signature, determinant) under congruence,
+    enlargement, and all four border variants; reduction round-trips."""
+    rows, P, is_row, x, M, N, eps = case
+    if eps not in (1, -1):
+        return True
+    V = SeifertMatrix(rows)
+    expected = _invariants(V)
+    if _invariants(congruent_transform(V, P)) != expected:
+        return False
+    E = enlarge(V, "row-border" if is_row else "column-border", x, M, N)
+    if _invariants(E) != expected:
+        return False
+    if try_reduce(E) != V:
+        return False
+    return len({_invariants(unknotting_border(V, eps, x, M, N, v)) for v in BORDER_VARIANTS}) == 1
+
+
+def _draw_sesquilinear(rng, i):
+    size = (2, 4)[i % 2]
+    rows = random_seifert_rows(rng, size)
+    x = [sorted(small_laurent(rng).terms.items()) for _ in range(size)]
+    y = [sorted(small_laurent(rng).terms.items()) for _ in range(size)]
+    a = sorted(small_laurent(rng).terms.items())
+    b = sorted(small_laurent(rng).terms.items())
+    return rows, x, y, a, b
+
+
+def _check_sesquilinear(case) -> bool:
+    """pairing(a x, b y) equals a bar(b) pairing(x, y) in Q(L)/L."""
+    rows, x_terms, y_terms, a_terms, b_terms = case
+    V = SeifertMatrix(rows)
+    x = [LaurentPoly(dict(t)) for t in x_terms]
+    y = [LaurentPoly(dict(t)) for t in y_terms]
+    a = LaurentPoly(dict(a_terms))
+    b = LaurentPoly(dict(b_terms))
+    lhs = pairing(V, [a * c for c in x], [b * c for c in y])
+    rhs = pairing(V, x, y).scale(a * b.bar())
+    return fractions_equal(lhs, rhs)
 
 
 QUADFORM_H_VALUES = (1, 2, 3, 5, 7)
@@ -368,43 +315,73 @@ QUADFORM_GRID = tuple(
 )
 
 
-def suite_quadform_oracle(seed: int, iters: int = len(QUADFORM_GRID)) -> SuiteResult:
+def _check_quadform_oracle(case) -> bool:
     """The decision procedure agrees with double-loop brute force on the
     grid h in {1,2,3,5,7}, 0 < |d| <= 50.  Case i is grid point i (cycling
     past the end); the default count is the whole grid.  The seed draws
-    nothing and is accepted for interface uniformity."""
-
-    def draw(_, i):
-        return QUADFORM_GRID[i % len(QUADFORM_GRID)]
-
-    def check(case):
-        h, d = case
-        if h not in QUADFORM_H_VALUES or not d:
-            return True  # off the grid: a shrunk case must stay on it
-        table = quadform_oracle_values(h)
-        verdict = quadform_represents(h, d)
-        if verdict.outcome == "witness":
-            return abs(d) in table and form_value(h, verdict.x, verdict.y) == verdict.sign * d
-        return verdict.outcome == "refuted" and abs(d) not in table
-
-    return _loop("quadform-oracle", seed, iters, draw, check, lambda c: f"h = {c[0]}, d = {c[1]}")
+    nothing."""
+    h, d = case
+    if h not in QUADFORM_H_VALUES or not d:
+        return True  # off the grid: a shrunk case must stay on it
+    table = quadform_oracle_values(h)
+    verdict = quadform_represents(h, d)
+    if verdict.outcome == "witness":
+        return abs(d) in table and form_value(h, verdict.x, verdict.y) == verdict.sign * d
+    return verdict.outcome == "refuted" and abs(d) not in table
 
 
+# name -> (default count, draw, check, describe); describe(case) is the
+# counterexample text of a failing case.
 SUITES = {
-    "eq5": suite_border_determinant,
-    "sequiv": suite_sequiv,
-    "sesquilinear": suite_sesquilinear,
-    "main-theorem": suite_border_pairing,
-    "quadform-oracle": suite_quadform_oracle,
-    "ring-axioms": suite_ring_axioms,
+    "eq5": (200, _draw_border, _check_eq5, _describe_border),
+    "sequiv": (
+        500,
+        _draw_sequiv,
+        _check_sequiv,
+        lambda c: f"V = {c[0]}, P = {c[1]}, row_border = {c[2]}, x = {c[3]}, M = {c[4]}, N = {c[5]}, eps = {c[6]}",
+    ),
+    "sesquilinear": (
+        200,
+        _draw_sesquilinear,
+        _check_sesquilinear,
+        lambda c: f"V = {c[0]}, x = {c[1]}, y = {c[2]}, a = {c[3]}, b = {c[4]}",
+    ),
+    "main-theorem": (200, _draw_border, _check_main_theorem, _describe_border),
+    "quadform-oracle": (
+        len(QUADFORM_GRID),
+        lambda _, i: QUADFORM_GRID[i % len(QUADFORM_GRID)],
+        _check_quadform_oracle,
+        lambda c: f"h = {c[0]}, d = {c[1]}",
+    ),
+    "ring-axioms": (1000, _draw_ring_axioms, _check_ring_axioms, lambda c: f"polynomial terms: {c}"),
 }
 
 
 def run_suite(name: str, seed: int, iters: int | None = None) -> SuiteResult:
+    """Check iters cases of the suite drawn from seed, its default count when
+    iters is None.  The first failing case ends the run; it is shrunk and
+    described in the result."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    default, draw, check, describe = SUITES[name]
     if iters is None:
-        return SUITES[name](seed)
+        iters = default
     if iters < 1:
         raise ValueError(f"iteration count must be at least 1, got {iters}")
-    return SUITES[name](seed, iters)
+    rng = random.Random(seed)
+    for i in range(iters):
+        case = draw(rng, i)
+        try:
+            ok = check(case)
+        except Exception:
+            ok = False
+        if not ok:
+            def fails(c):
+                # a shrink that merely makes the case invalid is not kept
+                try:
+                    return check(c) is False
+                except Exception:
+                    return False
+
+            return SuiteResult(name, seed, i + 1, 1, describe(minimize_case(case, fails)))
+    return SuiteResult(name, seed, iters, 0)

@@ -17,6 +17,7 @@ from gordian.verify import (
     random_unimodular,
     run_suite,
 )
+from gordian.laurent import LaurentPoly
 from gordian.seifert import SeifertMatrix, det_int
 import random
 
@@ -142,12 +143,96 @@ class TestSuiteRunner:
         assert a == b
 
 
+def _raise(*args, **kwargs):
+    raise RuntimeError("forced failure")
+
+
+class TestSuitePins:
+    """Each suite's default count, draw and counterexample text, pinned.
+
+    A check made to raise fails every case, and a shrink that raises is never
+    kept, so the counterexample describes the case exactly as drawn."""
+
+    @pytest.mark.parametrize(
+        "name, count",
+        [
+            ("eq5", 200),
+            ("sequiv", 500),
+            ("sesquilinear", 200),
+            ("main-theorem", 200),
+            ("quadform-oracle", 500),
+            ("ring-axioms", 1000),
+        ],
+    )
+    def test_default_count(self, name, count):
+        # these counts set the case mix of the verify benchmark workload
+        assert run_suite(name, 0).iterations == count
+
+    @pytest.mark.parametrize(
+        "name, owner, target, text",
+        [
+            ("eq5", verify, "det_laurent", "inner = [], eps = -1, x = 3, M = [], N = []"),
+            (
+                "sequiv",
+                verify,
+                "congruent_transform",
+                "V = [[3, 1], [0, 3]], P = [[0, 1], [-1, 0]], row_border = False, "
+                "x = -3, M = [2, -3], N = [3, 2], eps = -1",
+            ),
+            (
+                "sesquilinear",
+                verify,
+                "fractions_equal",
+                "V = [[3, 1], [0, 3]], x = [[(-1, 1), (0, -2)], [(-1, 2), (0, 1), (1, 1)]], "
+                "y = [[(0, 1)], [(-1, 2), (0, -1), (1, 2)]], a = [(-1, -1), (1, -1)], b = [(-1, -2), (0, 2)]",
+            ),
+            ("main-theorem", verify, "border_self_pairing_check", "inner = [], eps = -1, x = 3, M = [], N = []"),
+            ("quadform-oracle", verify, "quadform_represents", "h = 1, d = -50"),
+            (
+                "ring-axioms",
+                LaurentPoly,
+                "is_bar_symmetric",
+                "polynomial terms: ([(-2, 12), (3, -7), (5, -14)], "
+                "[(-4, 14), (0, -16), (4, 7), (5, 20)], [(-1, 15), (1, 5)])",
+            ),
+        ],
+    )
+    def test_first_case_text(self, monkeypatch, name, owner, target, text):
+        monkeypatch.setattr(owner, target, _raise)
+        assert run_suite(name, 0, 1) == SuiteResult(name, 0, 1, 1, text)
+
+    @pytest.mark.parametrize(
+        "name, target, raises_on",
+        [
+            # the block of a size-4 inner matrix has size 5
+            ("eq5", "det_laurent", lambda rows: len(rows) == 5),
+            ("main-theorem", "border_self_pairing_check", lambda outer, inner: inner.size == 4),
+        ],
+    )
+    def test_first_size_four_border_text(self, monkeypatch, name, target, raises_on):
+        real = getattr(verify, target)
+
+        def patched(*args):
+            if raises_on(*args):
+                raise RuntimeError("forced failure")
+            return real(*args)
+
+        monkeypatch.setattr(verify, target, patched)
+        assert run_suite(name, 0) == SuiteResult(
+            name,
+            0,
+            3,
+            1,
+            "inner = [[-1, 2, -2, 1], [1, -2, -1, -2], [-2, -1, 3, -2], [1, -2, -3, 1]], "
+            "eps = -1, x = 1, M = [2, 3, 1, -2], N = [-1, -3, 2, -3]",
+        )
+
+
 class TestVerifyCliFailurePath:
     def test_exit_3_with_counterexample(self, capsys, monkeypatch):
-        def failing_suite(seed, iters=1):
-            return SuiteResult("broken", seed, 1, 1, "x = 1")
-
-        monkeypatch.setitem(SUITES, "broken", failing_suite)
+        # case [1] fails; its shrink [0] passes, so [1] is the counterexample
+        broken = (1, lambda rng, i: [1], lambda case: case != [1], lambda case: f"x = {case[0]}")
+        monkeypatch.setitem(SUITES, "broken", broken)
         code = main(["verify", "--suite", "broken", "--seed", "0"])
         out = capsys.readouterr().out
         assert code == 3

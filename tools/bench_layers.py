@@ -11,12 +11,14 @@ case's median samples the same stretch of machine time.  The file records
 every run's wall time with its minimum, median, maximum and spread (max -
 min over the median).  The cases are the division layer's worst cases, at
 each N of SIZES: one ``divmod_rational`` of the dense
-``1-2N + sum_k (t^k + t^-k)`` by ``t-1+t^-1`` and by ``4t-7+4t^-1``, one of
-the sparse ``t^2N-1+t^-2N`` by ``t^N-1+t^-N``, and
-``build_report(t-1+t^-1, t^N-1+t^-N)``.  Each --run NAME=FILE adds the last
-line of a ``perfbench/run.py`` output file, its JSON summary, under NAME, so
-the file keeps the end-to-end runs a change was judged on next to the layer
-times.
+``1-2N + sum_k (t^k + t^-k)`` by ``t-1+t^-1`` and by ``4t-7+4t^-1``,
+SPARSE_CALLS of the sparse ``t^2N-1+t^-2N`` by ``t^N-1+t^-N`` (one call
+takes microseconds, too short to time alone), and
+``build_report(t-1+t^-1, t^N-1+t^-N)``; then each verify suite at its
+default count from seed 0, through ``run_suite``.  Each --run NAME=FILE
+adds the last line of a ``perfbench/run.py`` output file, its JSON summary,
+under NAME, so the file keeps the end-to-end runs a change was judged on
+next to the layer times.
 """
 
 from __future__ import annotations
@@ -36,11 +38,14 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from gordian.laurent import LaurentPoly, divmod_rational  # noqa: E402
 from gordian.obstruct import build_report  # noqa: E402
+from gordian.verify import SUITES, run_suite  # noqa: E402
 
 DIVISORS = ("t-1+t^-1", "4t-7+4t^-1")
 SIZES = (101, 301, 1001)
 # one run shows no spread
 RUNS = 3
+# calls in one run of a sparse division: a single call takes microseconds
+SPARSE_CALLS = 1000
 
 
 def dense(n: int) -> LaurentPoly:
@@ -61,11 +66,16 @@ def cases(sizes):
         # three terms across breadth 4n: a division that visits every
         # exponent, not only the nonzero ones, walks 2n empty ones
         a, b = LaurentPoly({2 * n: 1, 0: -1, -2 * n: 1}), LaurentPoly({n: 1, 0: -1, -n: 1})
-        yield f"divmod_rational.[t^{2 * n}-1+t^-{2 * n}].by[t^{n}-1+t^-{n}]", lambda a=a, b=b: divmod_rational(a, b)
+        yield (
+            f"divmod_rational.[t^{2 * n}-1+t^-{2 * n}].by[t^{n}-1+t^-{n}].x{SPARSE_CALLS}",
+            lambda a=a, b=b: [divmod_rational(a, b) for _ in range(SPARSE_CALLS)],
+        )
     knot = LaurentPoly.parse(DIVISORS[0])
     for n in sizes:
         wide = LaurentPoly({n: 1, 0: -1, -n: 1})
         yield f"build_report.[{DIVISORS[0]}].[t^{n}-1+t^-{n}]", lambda wide=wide: build_report(knot, wide)
+    for name, (count, *_) in SUITES.items():
+        yield f"run_suite.{name}.x{count}", lambda name=name: run_suite(name, 0)
 
 
 def timed(named) -> dict:
