@@ -169,8 +169,6 @@ def cmd_obstruct(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    if args.suite not in SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}")
     result = run_suite(args.suite, args.seed, args.iters)
     print(f"suite: {args.suite}", file=out)
     print(f"seed: {result.seed}", file=out)
@@ -267,7 +265,7 @@ _COMMANDS = {
     "verify": (
         "run a seeded randomized verification suite",
         (
-            (("--suite",), {"required": True}),
+            (("--suite",), {"required": True, "choices": SUITES}),
             (("--seed",), {"type": int, "default": 0}),
             (("--iters",), {"type": _positive_int, "default": None}),
         ),

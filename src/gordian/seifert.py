@@ -4,7 +4,7 @@ A Seifert matrix is an even-size integer matrix V with det(V - V^T) = 1.
 The 0x0 matrix is allowed and stands for the trivial class.  All arithmetic
 is exact and stays in the integers: determinants of integer matrices use
 Bareiss fraction-free elimination, and the signature comes from
-fraction-free symmetric elimination of V + V^T.
+fraction-free symmetric elimination of the upper triangle of V + V^T.
 
 Every polynomial matrix in gordian is a pencil A - tA^T for an integer
 matrix A, possibly bordered by one row and column of Laurent polynomials:
@@ -18,9 +18,10 @@ as the signed base-X digits of the result (Kronecker substitution).  This
 module is the only one that knows that packing.
 
 Each matrix is eliminated once: the constructor takes det(V - tV^T) this
-way, checks that its coefficients sum to det(V - V^T) = 1, and keeps the
-Alexander polynomial it gives.  The Alexander polynomial and the knot
-determinant |Delta(-1)| are then read from that polynomial.
+way, checks that its coefficients sum to det(V - V^T) = 1, asserts that
+they are palindromic (bar symmetry), and keeps the Alexander polynomial
+they give.  The Alexander polynomial and the knot determinant |Delta(-1)|
+are then read from that polynomial.
 """
 
 from __future__ import annotations
@@ -98,13 +99,19 @@ class SeifertMatrix:
 
     Instances are immutable; constructing one validates both conditions and
     raises InvalidMatrixError naming the violated invariant otherwise.  The
-    Alexander polynomial found while validating is kept for alexander().
+    Alexander polynomial found while validating, checked bar symmetric, is
+    kept for alexander().
     """
 
     __slots__ = ("rows", "_delta")
 
     def __init__(self, entries):
-        rows = tuple(map(tuple, _int_rows(entries, InvalidMatrixError)))
+        try:
+            rows = tuple([tuple(map(index, row)) for row in entries])
+        except TypeError:
+            # name the entry that is not an integer
+            _int_rows(entries, InvalidMatrixError)
+            raise
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -117,6 +124,9 @@ class SeifertMatrix:
         d = sum(coeffs)
         if d != 1:
             raise InvalidMatrixError(f"det(V - V^T) must be 1, got {d}")
+        # det(V - tV^T) = t^n det(V - t^-1 V^T) for even n, so the
+        # coefficients read the same both ways: a failure is a bug, not bad input
+        assert coeffs == coeffs[::-1], "Alexander polynomial must be bar symmetric"
         self.rows = rows
         self._delta = _as_laurent(coeffs, -(n // 2))
 
@@ -165,20 +175,34 @@ def parse_matrix_text(text: str) -> SeifertMatrix:
 # coefficients off as the signed base-X digits of the result.
 
 
-def _hadamard(norms) -> int:
+def _hadamard(squares) -> int:
     """A bound B on every coefficient of the determinant, and of every
-    cofactor, of a polynomial matrix whose entry (i, j) has coefficient
-    1-norm norms[i][j].
+    cofactor, of a polynomial matrix whose row i has entries of coefficient
+    1-norms n_ij with squares[i] = sum_j n_ij^2.
 
     A coefficient is at most the largest |det| on the unit circle, where
     each entry is at most its 1-norm.  So Hadamard's inequality gives
-    B = isqrt(prod_i r_i) + 1 with r_i = sum_j norms[i][j]^2.  A zero row
-    counts as 1, which keeps every r_i >= 1 and the bound valid for minors.
+    B = isqrt(prod_i squares[i]) + 1.  A zero row counts as 1, which keeps
+    every factor >= 1 and the bound valid for minors.
     """
     product = 1
-    for row in norms:
-        product *= sum(map(mul, row, row)) or 1
+    for s in squares:
+        product *= s or 1
     return isqrt(product) + 1
+
+
+def _pencil_squares(A, cols):
+    """squares[i] of _hadamard for the pencil A - tA^T, given the columns of
+    A: entry (i, j) has coefficient 1-norm |a_ij| + |a_ji|.  One pass, with
+    no matrix of norms."""
+    squares = []
+    for row, col in zip(A, cols):
+        s = 0
+        for a, b in zip(row, col):
+            x = abs(a) + abs(b)
+            s += x * x
+        squares.append(s)
+    return squares
 
 
 def _radix(bound: int) -> int:
@@ -216,7 +240,7 @@ def _pencil(A):
     """The radix X for the pencil A - tA^T of an integer matrix A, and the
     integer matrix A - XA^T, the pencil at t = X."""
     cols = tuple(zip(*A))
-    X = _radix(_hadamard([[abs(a) + abs(b) for a, b in zip(row, col)] for row, col in zip(A, cols)]))
+    X = _radix(_hadamard(_pencil_squares(A, cols)))
     return X, [[a - X * b for a, b in zip(row, col)] for row, col in zip(A, cols)]
 
 
@@ -230,6 +254,10 @@ def _pencil_det(A):
 def det_laurent(A) -> LaurentPoly:
     """det(A - tA^T) for a square integer matrix A."""
     return _as_laurent(_pencil_det(A), 0)
+
+
+def _norm1(p: LaurentPoly) -> int:
+    return sum(map(abs, p.terms.values()))
 
 
 def _at(p: LaurentPoly, low: int, k: int) -> int:
@@ -255,12 +283,9 @@ def det_bordered(A, v, u) -> LaurentPoly:
         return _from_terms({})
     v_low, u_low = min(v_exps), min(u_exps)
     cols = tuple(zip(*A))
-    norms = [
-        [abs(a) + abs(b) for a, b in zip(row, col)] + [sum(map(abs, p.terms.values()))]
-        for row, col, p in zip(A, cols, u)
-    ]
-    norms.append([sum(map(abs, p.terms.values())) for p in v] + [0])
-    X = _radix(_hadamard(norms))
+    squares = [s + _norm1(p) ** 2 for s, p in zip(_pencil_squares(A, cols), u)]
+    squares.append(sum(_norm1(p) ** 2 for p in v))
+    X = _radix(_hadamard(squares))
     k = X.bit_length() - 1
     values = [[a - X * b for a, b in zip(row, col)] + [_at(p, u_low, k)] for row, col, p in zip(A, cols, u)]
     values.append([_at(p, v_low, k) for p in v] + [0])
@@ -330,53 +355,50 @@ def alexander(V: SeifertMatrix) -> LaurentPoly:
     """Alexander polynomial t^-n det(tV - V^T) of a 2n x 2n Seifert matrix.
 
     It is read off the elimination that validated V, so it takes the value
-    det(V - V^T) = 1 at t = 1.  It is symmetric under t -> t^-1; that is
-    asserted, a failure means a bug rather than bad input.
+    det(V - V^T) = 1 at t = 1, and the constructor asserted that it is
+    symmetric under t -> t^-1.
     """
-    delta = V._delta
-    assert delta.is_bar_symmetric(), "Alexander polynomial must be bar symmetric"
-    return delta
+    return V._delta
 
 
 def signature(V: SeifertMatrix) -> int:
     """Signature of V + V^T by fraction-free symmetric elimination.
 
     Step k keeps the trailing block as prev times the Schur complement, so
-    the rational pivot is p / prev and its sign is that of p * prev.
+    the rational pivot is p / prev and its sign is that of p * prev.  The
+    block is symmetric, so only its upper triangle is kept up to date: row
+    i takes its multiplier f = a_ki from the pivot row.
     """
     n = V.size
     a = _symmetrised(V)
     pos = neg = 0
     prev = 1
     for k in range(n):
-        if a[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                # det(V + V^T) = +-Delta(-1) is odd, so the trailing block is
-                # nonsingular and has no zero row
-                assert j is not None, "V + V^T must be nonsingular"
-                for l in range(k, n):
-                    a[k][l] += a[j][l]
-                for l in range(k, n):
-                    a[l][k] += a[l][j]
-        p = a[k][k]
+        pivot = a[k]
+        p = pivot[k]
+        if p == 0:
+            j = next((j for j in range(k + 1, n) if pivot[j]), None)
+            # det(V + V^T) = +-Delta(-1) is odd, so the trailing block is
+            # nonsingular and has no zero row
+            assert j is not None, "V + V^T must be nonsingular"
+            # add s times row and column j to row and column k: the pivot
+            # becomes 2 s a_kj + a_jj, nonzero for s = 1 or for s = -1
+            c, d = pivot[j], a[j][j]
+            s = 1 if 2 * c + d else -1
+            p = pivot[k] = 2 * s * c + d
+            for l in range(k + 1, n):
+                pivot[l] += s * (a[l][j] if l < j else a[j][l])
         if p * prev > 0:
             pos += 1
         else:
             neg += 1
-        pivot = a[k]
         for i in range(k + 1, n):
             row = a[i]
-            f = row[k]
+            f = pivot[i]
             for j in range(i, n):
                 q, r = divmod(p * row[j] - f * pivot[j], prev)
                 assert r == 0, "fraction-free elimination must divide exactly"
-                row[j] = a[j][i] = q
+                row[j] = q
         prev = p
     return pos - neg
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 import cli_equivalence
 from gordian import cli, obstruct, seifert
 from gordian.cli import main
+from gordian.verify import SUITES
 
 TREFOIL_TEXT = "-1 1\n0 -1\n"
 
@@ -307,9 +309,15 @@ class TestVerify:
         assert "passes: 40" in out
         assert "failures: 0" in out
 
-    def test_unknown_suite_exit_1(self, capsys):
-        code, _, err = run(capsys, ["verify", "--suite", "nope"])
-        assert code == 1
+    def test_unknown_suite_exit_1(self):
+        # a usage error that names every suite, on both parsers
+        argv = ["verify", "--suite", "nope"]
+        code, out, err = cli_equivalence.outcome(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: argument --suite: invalid choice: ")
+        assert "nope" in err
+        assert all(name in err for name in SUITES)
+        assert cli_equivalence.outcome(argv, full=True) == (code, out, err)
 
     def test_deterministic_output(self, capsys):
         argv = ["verify", "--suite", "eq5", "--seed", "7", "--iters", "5"]
@@ -511,9 +519,14 @@ class TestParsers:
                 argv = [name, *positionals.get(name, [])]
                 for other in required:
                     if other is not action:
-                        argv += [other.option_strings[0], "x"]
+                        argv += [other.option_strings[0], next(iter(other.choices)) if other.choices else "x"]
                 argv += [action.option_strings[0], value]
                 parser, rest = cli._parser_for(cli._merge_option_values(argv))
+                if action.choices:
+                    # the value reaches the option, which names it as no choice
+                    with pytest.raises(cli.UsageError, match=re.escape(f"invalid choice: {value!r}")):
+                        parser.parse_args(rest)
+                    continue
                 if action.type in refused:
                     # the value reaches the option's type, which refuses it
                     with pytest.raises(cli.UsageError, match=f"{refused[action.type]}, got -3"):

@@ -8,6 +8,7 @@ Laurent entries.
 """
 
 import random
+from math import isqrt
 
 import pytest
 
@@ -277,6 +278,68 @@ class TestDetBordered:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length 2"):
             det_bordered([[1, 0], [0, 1]], [LaurentPoly.one()], [LaurentPoly.one()] * 2)
+
+
+def hadamard_bound(norms):
+    """Hadamard's coefficient bound from the full matrix of coefficient
+    1-norms: isqrt of the product of the rows' sums of squares (a zero row
+    counting as 1), plus 1."""
+    product = 1
+    for row in norms:
+        product *= max(1, sum(x * x for x in row))
+    return isqrt(product) + 1
+
+
+def pencil_norms(A):
+    return [[abs(a) + abs(b) for a, b in zip(row, col)] for row, col in zip(A, zip(*A))]
+
+
+def norm1(p):
+    return sum(abs(c) for c in p.terms.values())
+
+
+def radix_test_matrix(rng, i):
+    """A small random matrix; some have a zero row, a zero row and column, or
+    one entry of 10^6."""
+    n = rng.randint(1, 8)
+    A = random_matrix(rng, n, bound=9)
+    if i % 3 == 0:
+        A[rng.randrange(n)] = [0] * n
+    if i % 5 == 0:
+        zero_row_and_column(rng, A)
+    if i % 4 == 0:
+        A[rng.randrange(n)][rng.randrange(n)] = BIG
+    return A
+
+
+class TestRadix:
+    """X is exactly the radix of Hadamard's bound.  A larger X would pass
+    every determinant test, only slower."""
+
+    def test_pencil(self):
+        rng = random.Random(61)
+        for i in range(300):
+            A = radix_test_matrix(rng, i)
+            X, values = seifert._pencil(A)
+            assert X == seifert._radix(hadamard_bound(pencil_norms(A)))
+            assert values == [[a - X * b for a, b in zip(row, col)] for row, col in zip(A, zip(*A))]
+
+    def test_det_bordered(self, monkeypatch):
+        bounds = []
+        radix = seifert._radix
+        monkeypatch.setattr(seifert, "_radix", lambda bound: bounds.append(bound) or radix(bound))
+        rng = random.Random(62)
+        for i in range(200):
+            A = radix_test_matrix(rng, i)
+            v, u = random_border(rng, len(A), bound=9), random_border(rng, len(A), bound=9)
+            # exponents of a random border lie in -3..3: neither side is zero
+            v[0] = v[0] + LaurentPoly({-4: 1})
+            u[-1] = u[-1] + LaurentPoly({4: BIG})
+            det_bordered(A, v, u)
+            norms = [row + [norm1(p)] for row, p in zip(pencil_norms(A), u)]
+            norms.append([norm1(p) for p in v] + [0])
+            assert bounds[-1] == hadamard_bound(norms)
+        assert len(bounds) == 200
 
 
 class TestAdjugateInt:

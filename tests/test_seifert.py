@@ -247,10 +247,32 @@ class TestSignature:
         # V + V^T = [[2,1],[1,2]] is positive definite
         assert signature(SeifertMatrix([[1, 1], [0, 1]])) == 2
 
+    def test_zero_pivot_repair_needs_minus_one(self):
+        # V + V^T = [[0, 1], [1, -2]]: adding row and column 1 to row and
+        # column 0 would make the pivot 2 * 1 - 2 = 0, so the repair
+        # subtracts them and the pivot is -4
+        assert signature(SeifertMatrix([[0, 1], [0, -1]])) == 0
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            # repaired at pivot 0
+            ([[0, 1, -2, 1], [1, 0, -2, 0], [0, -1, 0, -1], [2, 1, -2, 0]], -2),
+            # at pivot 0, then at pivot 2 with the minus sign
+            ([[0, -1, -1, -1], [2, 0, 1, 2], [0, -1, 0, -1], [2, 1, 1, 0]], 0),
+            # at pivots 0, 1 and 2
+            ([[0, 2, 0, 1], [-2, 0, 1, -1], [-1, -1, 0, -1], [0, 2, 0, 0]], 0),
+        ],
+    )
+    def test_zero_diagonal(self, rows, expected):
+        # V + V^T has a zero diagonal, so the first pivot is always repaired
+        V = SeifertMatrix(rows)
+        assert signature(V) == signature_over_q(V) == expected
+
     def test_against_rational_oracle(self):
         # entry bound 1 makes many leading principal minors vanish, so the
-        # zero-pivot swap runs often; clearing the diagonal (which leaves
-        # V - V^T alone) makes every pivot search start with the row-add
+        # zero-pivot repair runs often; clearing the diagonal (which leaves
+        # V - V^T alone) makes the first pivot zero every time
         rng = random.Random(97)
         zero_minor = 0
         for i in range(1200):

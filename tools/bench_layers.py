@@ -12,10 +12,13 @@ every run's wall time with its minimum, median, maximum and spread (max -
 min over the median).  The cases are the division layer's worst cases, at
 each N of SIZES: one ``divmod_rational`` of the dense
 ``1-2N + sum_k (t^k + t^-k)`` by ``t-1+t^-1`` and by ``4t-7+4t^-1``,
-SPARSE_CALLS of the sparse ``t^2N-1+t^-2N`` by ``t^N-1+t^-N`` (one call
+BATCH calls of the sparse ``t^2N-1+t^-2N`` by ``t^N-1+t^-N`` (one call
 takes microseconds, too short to time alone), and
-``build_report(t-1+t^-1, t^N-1+t^-N)``; then each verify suite at its
-default count from seed 0, through ``run_suite``.  Each --run NAME=FILE
+``build_report(t-1+t^-1, t^N-1+t^-N)``; then the Seifert matrix kernels at
+each size of MATRIX_SIZES, on BATCH seeded random matrices: the
+constructor ``SeifertMatrix(rows)``, which validates the matrix and finds
+its Alexander polynomial, and ``signature(V)``; then each verify suite at
+its default count from seed 0, through ``run_suite``.  Each --run NAME=FILE
 adds the last line of a ``perfbench/run.py`` output file, its JSON summary,
 under NAME, so the file keeps the end-to-end runs a change was judged on
 next to the layer times.
@@ -27,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -38,14 +42,16 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from gordian.laurent import LaurentPoly, divmod_rational  # noqa: E402
 from gordian.obstruct import build_report  # noqa: E402
-from gordian.verify import SUITES, run_suite  # noqa: E402
+from gordian.seifert import SeifertMatrix, signature  # noqa: E402
+from gordian.verify import SUITES, random_seifert_rows, run_suite  # noqa: E402
 
 DIVISORS = ("t-1+t^-1", "4t-7+4t^-1")
 SIZES = (101, 301, 1001)
+MATRIX_SIZES = (2, 4, 6, 8)
 # one run shows no spread
 RUNS = 3
-# calls in one run of a sparse division: a single call takes microseconds
-SPARSE_CALLS = 1000
+# calls in one run of a case whose single call takes microseconds
+BATCH = 1000
 
 
 def dense(n: int) -> LaurentPoly:
@@ -67,13 +73,19 @@ def cases(sizes):
         # exponent, not only the nonzero ones, walks 2n empty ones
         a, b = LaurentPoly({2 * n: 1, 0: -1, -2 * n: 1}), LaurentPoly({n: 1, 0: -1, -n: 1})
         yield (
-            f"divmod_rational.[t^{2 * n}-1+t^-{2 * n}].by[t^{n}-1+t^-{n}].x{SPARSE_CALLS}",
-            lambda a=a, b=b: [divmod_rational(a, b) for _ in range(SPARSE_CALLS)],
+            f"divmod_rational.[t^{2 * n}-1+t^-{2 * n}].by[t^{n}-1+t^-{n}].x{BATCH}",
+            lambda a=a, b=b: [divmod_rational(a, b) for _ in range(BATCH)],
         )
     knot = LaurentPoly.parse(DIVISORS[0])
     for n in sizes:
         wide = LaurentPoly({n: 1, 0: -1, -n: 1})
         yield f"build_report.[{DIVISORS[0]}].[t^{n}-1+t^-{n}]", lambda wide=wide: build_report(knot, wide)
+    rng = random.Random(0)
+    for n in MATRIX_SIZES:
+        rows = [random_seifert_rows(rng, n) for _ in range(BATCH)]
+        matrices = [SeifertMatrix(r) for r in rows]
+        yield f"SeifertMatrix.size{n}.x{BATCH}", lambda rows=rows: [SeifertMatrix(r) for r in rows]
+        yield f"signature.size{n}.x{BATCH}", lambda matrices=matrices: [signature(V) for V in matrices]
     for name, (count, *_) in SUITES.items():
         yield f"run_suite.{name}.x{count}", lambda name=name: run_suite(name, 0)
 
