@@ -25,7 +25,7 @@ from .obstruct import QuadFormVerdict, SearchBounds, build_report, quadform_repr
 from .seifert import (
     InvalidMatrixError,
     KnotInvariants,
-    SeifertMatrix,
+    _content_lines,
     alexander,
     parse_matrix_text,
 )
@@ -51,13 +51,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_matrix(path: str) -> SeifertMatrix:
+def _read(path: str) -> str:
+    """The text of an input file: a matrix file, a manifest or a table CSV."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    return parse_matrix_text(text)
 
 
 def _print_invariants(inv: KnotInvariants, out):
@@ -67,17 +67,17 @@ def _print_invariants(inv: KnotInvariants, out):
 
 
 def cmd_alex(args, out) -> int:
-    print(alexander(_load_matrix(args.matrix)), file=out)
+    print(alexander(parse_matrix_text(_read(args.matrix))), file=out)
     return 0
 
 
 def cmd_invariants(args, out) -> int:
-    _print_invariants(KnotInvariants.from_matrix(_load_matrix(args.matrix)), out)
+    _print_invariants(KnotInvariants.from_matrix(parse_matrix_text(_read(args.matrix))), out)
     return 0
 
 
 def cmd_blanchfield(args, out) -> int:
-    V = _load_matrix(args.matrix)
+    V = parse_matrix_text(_read(args.matrix))
     gram = gram_matrix(V)
     for i, row in enumerate(gram, start=1):
         for j, entry in enumerate(row, start=1):
@@ -116,7 +116,7 @@ def _obstruct_input(delta_text, matrix_path, which):
         raise UsageError(f"provide exactly one of --delta{which} or --matrix{which}")
     if delta_text is not None:
         return LaurentPoly.parse(delta_text)
-    return _load_matrix(matrix_path)
+    return parse_matrix_text(_read(matrix_path))
 
 
 def _bounds_from_args(args) -> SearchBounds:
@@ -129,7 +129,7 @@ def _bounds_from_args(args) -> SearchBounds:
 def _parse_manifest_token(token: str):
     token = token.strip()
     if os.path.exists(token):
-        return _load_matrix(token)
+        return parse_matrix_text(_read(token))
     return LaurentPoly.parse(token)
 
 
@@ -140,13 +140,8 @@ def cmd_obstruct(args, out) -> int:
             raise UsageError("--manifest cannot be combined with inline inputs")
         if args.ua1 is not None or args.ua2 is not None:
             raise UsageError("--manifest cannot be combined with --ua1 or --ua2")
-        with open(args.manifest, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
         pair_no = 0
-        for raw in lines:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for _, line in _content_lines(_read(args.manifest)):
             left, sep, right = line.partition("|")
             if not sep:
                 raise ValueError(f"manifest line needs two inputs separated by |: {line!r}")
@@ -217,9 +212,7 @@ def cmd_table(args, out) -> int:
     # import
     if args.label is None:
         raise UsageError("table import needs a csv file")
-    with open(args.label, "r", encoding="utf-8") as handle:
-        imported = parse_table_csv(handle.read())
-    for entry in imported:
+    for entry in parse_table_csv(_read(args.label)):
         print(_entry_line(entry), file=out)
     return 0
 

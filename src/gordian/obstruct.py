@@ -225,15 +225,9 @@ class CcBarWitness(namedtuple("CcBarWitness", ("c", "sign"))):
     __slots__ = ()
 
 
-def _signed_range(bound):
-    yield 0
-    for k in range(1, bound + 1):
-        yield k
-        yield -k
-
-
 def _signed_rank(y: int) -> int:
-    """Position of y in the order 0, 1, -1, 2, -2, ... of ``_signed_range``."""
+    """Position of y in the order 0, 1, -1, 2, -2, ... of the coefficients
+    of ``_cc_candidates``."""
     return 2 * abs(y) - (y > 0)
 
 
@@ -250,7 +244,7 @@ def _cc_candidates(max_breadth: int, max_coeff: int):
     top exponent, breadth by breadth.
     """
     lead = range(1, max_coeff + 1)
-    signed = list(_signed_range(max_coeff))
+    signed = sorted(range(-max_coeff, max_coeff + 1), key=_signed_rank)
     nonzero = [v for v in signed if v]
     for breadth in range(max_breadth + 1):
         if breadth == 0:

@@ -38,22 +38,30 @@ class InvalidMatrixError(ValueError):
 
 
 def _int_rows(rows, error=ValueError):
-    """The rows of a matrix as lists of ints, each entry taken by
-    operator.index: an entry that is not an integer (a float, a Fraction, a
-    string) raises error naming it, instead of being truncated by int()."""
+    """The rows of a square integer matrix as a tuple of tuples of ints.
+
+    Each entry is taken by operator.index: an entry that is not an integer
+    (a float, a Fraction, a string) raises error naming it, instead of
+    being truncated by int().  Rows that do not form a square raise error.
+    """
     try:
-        return [list(map(index, row)) for row in rows]
+        out = tuple([tuple(map(index, row)) for row in rows])
     except TypeError:
         for row in rows:
             for x in row:
                 if not hasattr(x, "__index__"):
                     raise error(f"matrix entries must be integers, got {x!r}") from None
         raise
+    n = len(out)
+    for row in out:
+        if len(row) != n:
+            raise error("matrix must be square")
+    return out
 
 
 def det_int(rows) -> int:
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    return _bareiss(_int_rows(rows))
+    return _bareiss(list(map(list, _int_rows(rows))))
 
 
 def _bareiss(a) -> int:
@@ -84,16 +92,6 @@ def _bareiss(a) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def mat_mul(a, b):
-    """Product of two integer matrices given as row lists."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def transpose(rows):
-    return [list(col) for col in zip(*rows)] if rows else []
-
-
 class SeifertMatrix:
     """An even-size integer matrix V with det(V - V^T) = 1.
 
@@ -106,16 +104,8 @@ class SeifertMatrix:
     __slots__ = ("rows", "_delta")
 
     def __init__(self, entries):
-        try:
-            rows = tuple([tuple(map(index, row)) for row in entries])
-        except TypeError:
-            # name the entry that is not an integer
-            _int_rows(entries, InvalidMatrixError)
-            raise
+        rows = _int_rows(entries, InvalidMatrixError)
         n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise InvalidMatrixError("matrix must be square")
         if n % 2:
             raise InvalidMatrixError(f"matrix size must be even, got {n}")
         # the coefficients of det(V - tV^T) = det(tV - V^T) (n is even) sum
@@ -149,15 +139,21 @@ class SeifertMatrix:
         return f"SeifertMatrix({[list(r) for r in self.rows]})"
 
 
+def _content_lines(text: str):
+    """(line number, stripped line) for each line of text that is neither
+    blank nor a ``#`` comment: the line rule of every input file."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_matrix_text(text: str) -> SeifertMatrix:
     """Parse the matrix file format: one row per line, integers separated
     by spaces, blank lines and ``#`` comments ignored.  The empty file is
     the 0x0 matrix."""
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         try:
             rows.append([int(tok) for tok in line.split()])
         except ValueError:
@@ -253,7 +249,7 @@ def _pencil_det(A):
 
 def det_laurent(A) -> LaurentPoly:
     """det(A - tA^T) for a square integer matrix A."""
-    return _as_laurent(_pencil_det(A), 0)
+    return _as_laurent(_pencil_det(_int_rows(A)), 0)
 
 
 def _norm1(p: LaurentPoly) -> int:
@@ -275,6 +271,7 @@ def det_bordered(A, v, u) -> LaurentPoly:
     of the bordered matrix (a border entry counts with its 1-norm); one
     Bareiss determinant at t = X reads them off.
     """
+    A = _int_rows(A)
     if len(v) != len(A) or len(u) != len(A):
         raise ValueError(f"border vectors must have length {len(A)}")
     v_exps = [e for p in v for e in p.terms]
@@ -338,6 +335,7 @@ def adjugate_laurent(A):
     zero polynomial is singular at t = X too, and raises ValueError; a
     Seifert matrix never gives one, since det(V - tV^T) = t^(n/2) Delta.
     """
+    A = _int_rows(A)
     X, values = _pencil(A)
     n = len(A)
     return [[_as_laurent(_digits(entry, X, n), 0) for entry in row] for row in _adjugate_int(values)]
@@ -472,12 +470,12 @@ class KnotInvariants(_Checked, namedtuple("KnotInvariants", ("alexander", "signa
 def congruent_transform(V: SeifertMatrix, P) -> SeifertMatrix:
     """P V P^T for a unimodular integer matrix P of the same size."""
     rows = _int_rows(P)
-    if len(rows) != V.size or any(len(r) != V.size for r in rows):
+    if len(rows) != V.size:
         raise ValueError(f"transform must be {V.size}x{V.size}")
     if det_int(rows) not in (1, -1):
         raise ValueError("transform matrix must be unimodular")
-    product = mat_mul(mat_mul(rows, [list(r) for r in V.rows]), transpose(rows))
-    return SeifertMatrix(product)
+    PV = [[sum(map(mul, row, col)) for col in zip(*V.rows)] for row in rows]
+    return SeifertMatrix([[sum(map(mul, row, p)) for p in rows] for row in PV])
 
 
 # Each border puts (corner, right) in its first row and starts its second

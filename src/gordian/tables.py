@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .laurent import LaurentPoly
-from .seifert import KnotInvariants, SeifertMatrix
+from .seifert import KnotInvariants, SeifertMatrix, _content_lines
 
 
 class BundledEntry(
@@ -64,10 +64,7 @@ def parse_table_csv(text: str) -> list:
     """Rows ``label,polynomial,signature,determinant``; blank lines and
     ``#`` comments are skipped.  Each row is validated like a bundled entry."""
     entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 4:
             raise ValueError(f"line {lineno}: expected label,polynomial,signature,determinant")

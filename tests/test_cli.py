@@ -381,6 +381,48 @@ class TestTable:
         assert code == 2
 
 
+class TestInputFiles:
+    """Matrix files, manifests and table CSVs share one line rule, blank
+    lines and # comments skipped, and one message for an unreadable file."""
+
+    COMMANDS = {"matrix": ["alex", "--matrix"], "manifest": ["obstruct", "--manifest"], "csv": ["table", "import"]}
+
+    @pytest.mark.parametrize("kind", COMMANDS)
+    def test_unreadable_file_exit_2(self, capsys, tmp_path, kind):
+        path = str(tmp_path / "nope.txt")
+        code, out, err = run(capsys, [*self.COMMANDS[kind], path])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: ")
+
+    @pytest.mark.parametrize(
+        "kind, first, second",
+        [
+            ("matrix", "-1 1", "0 -1"),
+            ("manifest", "t-1+t^-1 | -t+3-t^-1", "t-1+t^-1 | t-1+t^-1"),
+            ("csv", "5_2, 2t-3+2t^-1, -2, 7", "4_1, -t+3-t^-1, 0, 5"),
+        ],
+    )
+    def test_blank_and_comment_lines_between_content(self, capsys, tmp_path, kind, first, second):
+        plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+        plain.write_text(f"{first}\n{second}\n")
+        commented.write_text(f"# head\n{first}\n\n   # between\n\t\n{second}\n# tail\n")
+        expected = run(capsys, [*self.COMMANDS[kind], str(plain)])
+        assert expected[0] == 0 and expected[1]
+        assert run(capsys, [*self.COMMANDS[kind], str(commented)]) == expected
+
+    @pytest.mark.parametrize(
+        "kind, bad, message",
+        [
+            ("matrix", "1 x", "line 3: entries must be integers"),
+            ("csv", "5_2, 2t-3+2t^-1, -2", "line 3: expected label,polynomial,signature,determinant"),
+        ],
+    )
+    def test_line_numbers_count_skipped_lines(self, capsys, tmp_path, kind, bad, message):
+        path = tmp_path / "input.txt"
+        path.write_text(f"# head\n\n{bad}\n")
+        assert run(capsys, [*self.COMMANDS[kind], str(path)]) == (2, "", f"error: {message}\n")
+
+
 class TestOutputStability:
     def test_identical_invocations_identical_output(self, capsys, trefoil_file):
         argv = [

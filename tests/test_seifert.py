@@ -16,16 +16,15 @@ from gordian.seifert import (
     adjugate_laurent,
     alexander,
     congruent_transform,
+    det_bordered,
     det_int,
     det_laurent,
     double_cover_cyclic,
     enlarge,
     h_form,
     knot_determinant,
-    mat_mul,
     parse_matrix_text,
     signature,
-    transpose,
     try_reduce,
     unknotting_border,
 )
@@ -152,6 +151,42 @@ class TestDetInt:
             with pytest.raises(ValueError) as info:
                 det_int(rows)
             assert str(info.value) == f"matrix entries must be integers, got {shown}"
+
+
+def _bordered_by_ones(A):
+    ones = [LaurentPoly.one()] * len(A)
+    return det_bordered(A, ones, ones)
+
+
+# every function that takes an integer matrix, and the error it raises
+MATRIX_READERS = [
+    pytest.param(det_int, ValueError, id="det_int"),
+    pytest.param(det_laurent, ValueError, id="det_laurent"),
+    pytest.param(adjugate_laurent, ValueError, id="adjugate_laurent"),
+    pytest.param(_bordered_by_ones, ValueError, id="det_bordered"),
+    pytest.param(lambda P: congruent_transform(TREFOIL, P), ValueError, id="congruent_transform"),
+    pytest.param(SeifertMatrix, InvalidMatrixError, id="SeifertMatrix"),
+]
+
+
+class TestMatrixBoundary:
+    @pytest.mark.parametrize("read, error", MATRIX_READERS)
+    @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1, 2, 3], [4, 5, 6]]], ids=["ragged", "2x3"])
+    def test_not_square(self, read, error, rows):
+        with pytest.raises(error) as info:
+            read(rows)
+        assert str(info.value) == "matrix must be square"
+
+    @pytest.mark.parametrize("read, error", MATRIX_READERS)
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [(1.0, "1.0"), (Fraction(1, 2), "Fraction(1, 2)"), ("1", "'1'")],
+        ids=["float", "Fraction", "string"],
+    )
+    def test_not_integer(self, read, error, entry, shown):
+        with pytest.raises(error) as info:
+            read([[1, 0], [0, entry]])
+        assert str(info.value) == f"matrix entries must be integers, got {shown}"
 
 
 class TestDetLaurent:
@@ -368,8 +403,12 @@ class TestCongruence:
         for _ in range(50):
             V = random_seifert(rng, 4)
             Q = random_unimodular(rng, 4)
-            expected = mat_mul(mat_mul(Q, [list(r) for r in V.rows]), transpose(Q))
-            assert congruent_transform(V, Q).rows == tuple(tuple(r) for r in expected)
+            # (Q V Q^T)_ij = sum over k, l of Q_ik V_kl Q_jl
+            expected = tuple(
+                tuple(sum(Q[i][k] * V[k][l] * Q[j][l] for k in range(4) for l in range(4)) for j in range(4))
+                for i in range(4)
+            )
+            assert congruent_transform(V, Q).rows == expected
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError, match="unimodular"):
