@@ -283,7 +283,9 @@ def divmod_rational(a: LaurentPoly, b: LaurentPoly):
 
     Normalising keeps an integral value an int: otherwise every later step
     on that entry would multiply an int by an integral Fraction, which
-    costs far more than int arithmetic.
+    costs far more than int arithmetic.  For the same reason an int entry
+    that the divisor's end coefficient divides is divided as an int, with
+    no Fraction built: an integer dividend and a monic divisor build none.
     """
     if b.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
@@ -308,7 +310,10 @@ def divmod_rational(a: LaurentPoly, b: LaurentPoly):
             if c is None:
                 continue
             shift = e - anchor
-            factor = _norm_coeff(Fraction(c) / divisor)
+            if type(c) is int and not c % divisor:
+                factor = c // divisor
+            else:
+                factor = _norm_coeff(Fraction(c) / divisor)
             q_terms[shift] = factor
             for d, bc in b.terms.items():
                 d += shift

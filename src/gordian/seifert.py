@@ -3,8 +3,7 @@
 A Seifert matrix is an even-size integer matrix V with det(V - V^T) = 1.
 The 0x0 matrix is allowed and stands for the trivial class.  All arithmetic
 is exact and stays in the integers: determinants of integer matrices use
-Bareiss fraction-free elimination, and the signature comes from
-fraction-free symmetric elimination of the upper triangle of V + V^T.
+Bareiss fraction-free elimination.
 
 Every polynomial matrix in gordian is a pencil A - tA^T for an integer
 matrix A, possibly bordered by one row and column of Laurent polynomials:
@@ -21,7 +20,12 @@ Each matrix is eliminated once: the constructor takes det(V - tV^T) this
 way, checks that its coefficients sum to det(V - V^T) = 1, asserts that
 they are palindromic (bar symmetry), and keeps the Alexander polynomial
 they give.  The Alexander polynomial and the knot determinant |Delta(-1)|
-are then read from that polynomial.
+are then read from that polynomial.  When the elimination swapped no row,
+the constructor also keeps its pivots, the leading minors of V - XV^T, and
+the signature is read off them: reduced mod X + 1 they are the leading
+minors of V + V^T, and Jacobi's rule sums the signs of consecutive ones.
+A swapped row or a zero minor of V + V^T falls back to fraction-free
+symmetric elimination of the upper triangle of V + V^T.
 """
 
 from __future__ import annotations
@@ -64,8 +68,14 @@ def det_int(rows) -> int:
     return _bareiss(list(map(list, _int_rows(rows))))
 
 
-def _bareiss(a) -> int:
-    """det_int of a, a list of fresh int rows that it overwrites."""
+def _bareiss(a, minors=None) -> int:
+    """det_int of a, a list of fresh int rows that it overwrites.
+
+    Without a row swap, pivot k is the leading (k + 1) x (k + 1) minor of
+    a and stays on the diagonal, so the diagonal ends as the leading minors,
+    det a last.  When minors is a list and no row was swapped, they are
+    appended to it; a swap leaves it as it was.
+    """
     n = len(a)
     if n == 0:
         return 1
@@ -77,6 +87,7 @@ def _bareiss(a) -> int:
                 if a[i][k]:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
+                    minors = None
                     break
             else:
                 return 0
@@ -89,6 +100,8 @@ def _bareiss(a) -> int:
             for j in rest:
                 row[j] = (row[j] * p - f * pivot[j]) // prev
         prev = p
+    if minors is not None:
+        minors.extend([row[k] for k, row in enumerate(a)])
     return sign * a[n - 1][n - 1]
 
 
@@ -98,10 +111,13 @@ class SeifertMatrix:
     Instances are immutable; constructing one validates both conditions and
     raises InvalidMatrixError naming the violated invariant otherwise.  The
     Alexander polynomial found while validating, checked bar symmetric, is
-    kept for alexander().
+    kept for alexander().  So are X and the leading minors of V - XV^T
+    when that elimination swapped no row (None otherwise): signature()
+    reduces them mod X + 1 to the leading minors of V + V^T, and falls back
+    to a symmetric elimination when a row was swapped or one of those is 0.
     """
 
-    __slots__ = ("rows", "_delta")
+    __slots__ = ("rows", "_delta", "_minors")
 
     def __init__(self, entries):
         rows = _int_rows(entries, InvalidMatrixError)
@@ -110,7 +126,9 @@ class SeifertMatrix:
             raise InvalidMatrixError(f"matrix size must be even, got {n}")
         # the coefficients of det(V - tV^T) = det(tV - V^T) (n is even) sum
         # to det(V - V^T) and, shifted by t^(-n/2), give the Alexander polynomial
-        coeffs = _pencil_det(rows)
+        X, values = _pencil(rows)
+        minors = []
+        coeffs = _digits(_bareiss(values, minors), X, n + 1)
         d = sum(coeffs)
         if d != 1:
             raise InvalidMatrixError(f"det(V - V^T) must be 1, got {d}")
@@ -119,6 +137,8 @@ class SeifertMatrix:
         assert coeffs == coeffs[::-1], "Alexander polynomial must be bar symmetric"
         self.rows = rows
         self._delta = _as_laurent(coeffs, -(n // 2))
+        # a swapped row leaves minors empty
+        self._minors = (X, minors) if len(minors) == n else None
 
     @property
     def size(self) -> int:
@@ -240,16 +260,10 @@ def _pencil(A):
     return X, [[a - X * b for a, b in zip(row, col)] for row, col in zip(A, cols)]
 
 
-def _pencil_det(A):
-    """The n + 1 coefficients of det(A - tA^T) for an n x n integer matrix
-    A, lowest degree first."""
-    X, values = _pencil(A)
-    return _digits(_bareiss(values), X, len(A) + 1)
-
-
 def det_laurent(A) -> LaurentPoly:
     """det(A - tA^T) for a square integer matrix A."""
-    return _as_laurent(_pencil_det(_int_rows(A)), 0)
+    X, values = _pencil(_int_rows(A))
+    return _as_laurent(_digits(_bareiss(values), X, len(values) + 1), 0)
 
 
 def _norm1(p: LaurentPoly) -> int:
@@ -360,6 +374,35 @@ def alexander(V: SeifertMatrix) -> LaurentPoly:
 
 
 def signature(V: SeifertMatrix) -> int:
+    """Signature of V + V^T, read off the elimination that validated V.
+
+    When that elimination of V - XV^T swapped no row, its pivots are the
+    leading minors det(V_j - X V_j^T), j = 1..n.  X = -1 mod X + 1, so each
+    is D_j = det(V_j + V_j^T) mod X + 1; Hadamard's bound, which X exceeds
+    twice over, keeps |D_j| below X/2, so D_j is the centred residue.  When
+    no D_j is 0, Jacobi's rule gives the signature as the sum of
+    sign(D_j D_(j-1)) over j, with D_0 = 1.  A swapped row or a zero D_j
+    falls back to _symmetric_signature, a second elimination.
+    """
+    if V._minors is not None:
+        X, minors = V._minors
+        m, half = X + 1, X >> 1
+        sigma = 0
+        prev = 1
+        for p in minors:
+            d = p % m
+            if d > half:
+                d -= m
+            if not d:
+                break
+            sigma += 1 if d * prev > 0 else -1
+            prev = d
+        else:
+            return sigma
+    return _symmetric_signature(V)
+
+
+def _symmetric_signature(V: SeifertMatrix) -> int:
     """Signature of V + V^T by fraction-free symmetric elimination.
 
     Step k keeps the trailing block as prev times the Schur complement, so

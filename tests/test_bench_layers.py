@@ -26,8 +26,9 @@ def test_writes_layers_context_and_runs(bench, tmp_path, monkeypatch):
     assert {"python", "cpu_count", "platform"} <= record["machine"].keys()
     assert record["perfbench_runs"] == {"battery.seed1": {"correct": True, "attempted": 3, "failed": 0, "metrics": {}}}
     # three divisions and one report per size, the constructor and the
-    # signature per matrix size, then one run of each suite
-    assert len(record["layers"]) == 8 + 2 * len(bench.MATRIX_SIZES) + len(bench.SUITES)
+    # signature read and by the fallback per matrix size, then one run of
+    # each suite
+    assert len(record["layers"]) == 8 + 3 * len(bench.MATRIX_SIZES) + len(bench.SUITES)
     for timing in record["layers"].values():
         assert len(timing["runs_s"]) == bench.RUNS
         assert timing["min_s"] <= timing["median_s"] <= timing["max_s"]

@@ -393,6 +393,20 @@ class TestAgainstLongDivision:
                 for c in [*q.terms.values(), *r.terms.values()]:
                     assert type(c) is int or c.denominator != 1, (a, b, c)
 
+    def test_monic_division_stays_in_the_integers(self):
+        # end coefficients +-1 divide every int entry, so each step divides
+        # as ints and the quotient and remainder hold only ints
+        rng = random.Random(43)
+        divisors = [h_form(1), h_form(-1), P("t^2-t+1"), P("-t^3+2t-1+t^-2"), P("t^4-3t^2+t^-1")]
+        for b in divisors:
+            dividends = [random_poly(rng) for _ in range(20)]
+            dividends += [b * random_poly(rng, max_exp=3), dense(101), L({301: 1, 0: -1, -301: 1})]
+            for a in dividends:
+                q, r = divmod_rational(a, b)
+                q_ref, r_ref = divmod_by_long_division(a.terms, b.terms)
+                assert q.terms == q_ref and r.terms == r_ref, (a, b)
+                assert all(type(c) is int for c in [*q.terms.values(), *r.terms.values()]), (a, b)
+
     def test_arguments_left_alone(self):
         cases = list(self.cases())
         cases += [(dense(n), b) for n in (31, 101) for b in (h_form(1), h_form(-4))]

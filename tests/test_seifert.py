@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gordian import seifert
 from gordian.laurent import LaurentPoly
 from gordian.obstruct import _make_side, _ua_one_certificate
 from gordian.seifert import (
@@ -321,6 +322,68 @@ class TestSignature:
             V = random_seifert(rng, (10, 12)[i % 2])
             assert signature(V) == signature_over_q(V)
         assert zero_minor > 300
+
+    @staticmethod
+    def leading_minors(V):
+        """The leading principal minors D_1, ..., D_n of V + V^T."""
+        sym = [[a + b for a, b in zip(row, col)] for row, col in zip(V.rows, zip(*V.rows))]
+        return [det_int([row[:k] for row in sym[:k]]) for k in range(1, V.size + 1)]
+
+    @staticmethod
+    def corpus():
+        # sizes 0 to 12 at entry bounds 1, 3 and 8: plain, enlarged,
+        # bordered by an unknotting step, and with the diagonal cleared
+        rng = random.Random(131)
+        for n in range(0, 13, 2):
+            for bound in (1, 3, 8):
+                for _ in range(6):
+                    V = random_seifert(rng, n, bound=bound)
+                    yield V
+                    yield SeifertMatrix([[0 if a == b else x for b, x in enumerate(row)] for a, row in enumerate(V.rows)])
+                    if n >= 2:
+                        inner = random_seifert(rng, n - 2, bound=bound)
+                        M, N = random_vector(rng, n - 2), random_vector(rng, n - 2)
+                        yield enlarge(inner, rng.choice(("row-border", "column-border")), rng.randint(-3, 3), M, N)
+                        eps, x = rng.choice((1, -1)), rng.randint(-bound, bound)
+                        yield unknotting_border(inner, eps, x, M, N, rng.choice(BORDER_VARIANTS))
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """The matrices whose signature took the symmetric elimination."""
+        seen = []
+        eliminate = seifert._symmetric_signature
+        monkeypatch.setattr(seifert, "_symmetric_signature", lambda V: seen.append(V) or eliminate(V))
+        return seen
+
+    def test_both_paths_against_rational_oracle(self, fallbacks):
+        # the constructor's minors are read when no D_j vanishes, and only
+        # then; a zero D_j (always so after an enlargement or with a zero
+        # diagonal) takes the symmetric elimination
+        read = fell_back = 0
+        for V in self.corpus():
+            zero_minor = 0 in self.leading_minors(V)
+            before = len(fallbacks)
+            assert signature(V) == signature_over_q(V), V
+            assert (len(fallbacks) > before) == zero_minor, V
+            read += not zero_minor
+            fell_back += zero_minor
+        assert read > 200 and fell_back > 200
+
+    def test_no_row_swapped_but_a_zero_minor(self, fallbacks):
+        # the elimination of V - XV^T swaps no row, so the constructor keeps
+        # its minors, but D_5 = 0 and Jacobi's rule does not apply
+        V = SeifertMatrix([
+            [-1, 0, 1, 0, -1, 1],
+            [-1, 0, -1, -1, -1, 0],
+            [1, -1, 0, 1, 1, 1],
+            [0, -1, 0, 1, -1, -1],
+            [-1, -1, 1, -1, 0, 1],
+            [1, 0, 1, -1, 0, 1],
+        ])
+        assert V._minors is not None
+        assert self.leading_minors(V) == [-2, -1, 16, 25, 0, -1521]
+        assert signature(V) == signature_over_q(V) == 0
+        assert fallbacks == [V]
 
     def test_against_principal_minor_oracle(self):
         # when every leading principal minor is nonzero the signature is

@@ -17,8 +17,11 @@ takes microseconds, too short to time alone), and
 ``build_report(t-1+t^-1, t^N-1+t^-N)``; then the Seifert matrix kernels at
 each size of MATRIX_SIZES, on BATCH seeded random matrices: the
 constructor ``SeifertMatrix(rows)``, which validates the matrix and finds
-its Alexander polynomial, and ``signature(V)``; then each verify suite at
-its default count from seed 0, through ``run_suite``.  Each --run NAME=FILE
+its Alexander polynomial, ``signature(V)``, which reads the signature off
+the constructor's leading minors, and ``signature(V)`` of the same
+matrices with the diagonal cleared, whose first minor is 0, so that every
+call takes the fallback elimination; then each verify suite at its default
+count from seed 0, through ``run_suite``.  Each --run NAME=FILE
 adds the last line of a ``perfbench/run.py`` output file, its JSON summary,
 under NAME, so the file keeps the end-to-end runs a change was judged on
 next to the layer times.
@@ -84,8 +87,11 @@ def cases(sizes):
     for n in MATRIX_SIZES:
         rows = [random_seifert_rows(rng, n) for _ in range(BATCH)]
         matrices = [SeifertMatrix(r) for r in rows]
+        # a zero diagonal makes D_1 = 0, so each signature is the fallback
+        cleared = [SeifertMatrix([[0 if i == j else x for j, x in enumerate(r)] for i, r in enumerate(m)]) for m in rows]
         yield f"SeifertMatrix.size{n}.x{BATCH}", lambda rows=rows: [SeifertMatrix(r) for r in rows]
         yield f"signature.size{n}.x{BATCH}", lambda matrices=matrices: [signature(V) for V in matrices]
+        yield f"signature.zero_diagonal.size{n}.x{BATCH}", lambda cleared=cleared: [signature(V) for V in cleared]
     for name, (count, *_) in SUITES.items():
         yield f"run_suite.{name}.x{count}", lambda name=name: run_suite(name, 0)
 
